@@ -635,9 +635,9 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   // (engine/kernel) execute the identical per-access semantics from a
   // flattened program and are bit-identical on every result field. The
   // request resolves through the fallback ladder (cache mode -> interp,
-  // profiled native -> bytecode, no native support -> bytecode).
-  const kernel::KernelKind kern = kernel::resolve_kernel(
-      options.kernel, cache_mode, options.profile);
+  // no native support -> bytecode).
+  const kernel::KernelKind kern =
+      kernel::resolve_kernel(options.kernel, cache_mode);
   const bool use_kernel = kern != kernel::KernelKind::kInterp;
   std::vector<std::unique_ptr<PhaseKernel>> kprograms;
   if (use_kernel) kprograms.resize(app.phases.size());
@@ -746,7 +746,7 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
             kp.use_native =
                 !fault::inject(fault::Site::kKernelCompile) &&
                 kp.native.compile(kp.program, llc.ways, llc.line_shift,
-                                  llc.set_mask);
+                                  llc.set_mask, prof.has_value());
           }
         }
       }
@@ -774,9 +774,20 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
         frame.n_accesses = n_accesses;
         frame.tier_sim = phase_tier_sim.data();
         if (kp.use_native) {
+          if (prof) {
+            // The kernel writes records through a raw cursor: give it room
+            // for a burst that misses every access, then trim to what it
+            // wrote (within the reserved capacity, so no reallocation).
+            miss_records.resize(n_accesses);
+            frame.miss_out = miss_records.data();
+          }
           rng.save_state(frame.rng_state);
           kp.native.run(frame);
           rng.restore_state(frame.rng_state);
+          if (prof) {
+            miss_records.resize(
+                static_cast<std::size_t>(frame.miss_out - miss_records.data()));
+          }
         } else {
           kernel::run_bytecode(kp.program, frame, rng,
                                prof ? &miss_records : nullptr);
@@ -909,6 +920,7 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   result.app = app.name;
   result.condition = condition_name(options.condition);
   result.fom_unit = app.fom_unit;
+  result.kernel = kernel::kernel_name(kern);
   result.time_s = now_ns * 1e-9;
   HMEM_ASSERT(result.time_s > 0);
   result.fom = app.work_per_iteration * static_cast<double>(app.iterations) *

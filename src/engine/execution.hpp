@@ -116,8 +116,8 @@ struct RunOptions {
   /// Which access-loop backend executes the inner simulation loop. All
   /// kernels are bit-identical on every RunResult field; the request is
   /// resolved through the fallback ladder in engine/kernel/kernel.hpp
-  /// (cache mode -> interp, profiled native -> bytecode, missing native
-  /// support -> bytecode). kAuto consults HMEM_KERNEL, then bytecode.
+  /// (cache mode -> interp, missing native support -> bytecode). kAuto
+  /// consults HMEM_KERNEL, then native where available, else bytecode.
   kernel::KernelKind kernel = kernel::KernelKind::kAuto;
 
   /// Memory resource backing the run's scratch state: the simulated tier
@@ -152,6 +152,10 @@ struct RunResult {
   std::string app;
   std::string condition;
   std::string fom_unit;
+  /// The access kernel the fallback ladder resolved for this run
+  /// ("interp", "bytecode" or "native"; see kernel::kernel_name). The only
+  /// field that may differ between kernels.
+  std::string kernel;
   double time_s = 0;
   double fom = 0;
 

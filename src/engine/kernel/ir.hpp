@@ -131,6 +131,16 @@ Program compile_program(const AliasTable& alias, std::uint64_t write_threshold,
 /// here so the executors can run without per-access bounds checks.
 std::string verify_program(const Program& program);
 
+/// LLC-miss record emitted for profiled runs, in access order. Mirrors the
+/// interpreter's records exactly (same order index, address, write coin).
+struct MissRecord {
+  std::uint64_t order = 0;  ///< access index within the phase burst
+  memsim::Address addr = 0;
+  bool is_write = false;
+
+  bool operator==(const MissRecord&) const = default;
+};
+
 /// Mutable per-burst state shared by both backends. The engine fills it
 /// from the live run (cache tables, tier accumulators, RNG state), executes
 /// one phase burst, and reads the accumulated results back. Field layout is
@@ -149,14 +159,12 @@ struct Frame {
   std::uint64_t ways = 0;
   std::uint64_t line_shift = 0;
   std::uint64_t set_mask = 0;
-};
-
-/// LLC-miss record emitted for profiled runs, in access order. Mirrors the
-/// interpreter's records exactly (same order index, address, write coin).
-struct MissRecord {
-  std::uint64_t order = 0;  ///< access index within the phase burst
-  memsim::Address addr = 0;
-  bool is_write = false;
+  // Profiled native bursts only: the access's 64-bit draw, kept for the
+  // write coin, and the next free slot of the engine's record buffer
+  // (advanced past every record written; the engine sizes the buffer for
+  // n_accesses records).
+  std::uint64_t draw = 0;
+  MissRecord* miss_out = nullptr;
 };
 
 /// Executes one phase burst through the bytecode VM. The program must have

@@ -5,13 +5,14 @@
 //   * interp   — the original loop in engine/execution.cpp; the oracle.
 //   * bytecode — the portable compiled IR (engine/kernel/ir.hpp).
 //   * native   — the x86-64 emitter (engine/kernel/native.hpp), optional.
-// Selection resolves through a fallback ladder, never an error: an explicit
-// `native` request on a machine without the backend silently runs bytecode;
-// the cache-mode condition always runs the interpreter (its analytic
+// Selection resolves through a fallback ladder, never an error: a `native`
+// request on a machine without the backend silently runs bytecode; the
+// cache-mode condition always runs the interpreter (its analytic
 // memory-side-cache model draws from the main RNG mid-access, which the
-// compiled kernels deliberately do not model); profiled runs cap at
-// bytecode (miss-record collection). `auto` consults the HMEM_KERNEL
-// environment variable, then defaults to bytecode.
+// compiled kernels deliberately do not model). Profiled and unprofiled runs
+// take the same rungs: every backend collects miss records. `auto` consults
+// the HMEM_KERNEL environment variable, then defaults to native where it is
+// available and to bytecode elsewhere.
 #pragma once
 
 #include <atomic>
@@ -27,7 +28,7 @@
 namespace hmem::engine::kernel {
 
 enum class KernelKind {
-  kAuto,      ///< HMEM_KERNEL env var, else bytecode
+  kAuto,      ///< HMEM_KERNEL env var, else native, else bytecode
   kInterp,    ///< original interpreter loop (the oracle)
   kBytecode,  ///< compiled IR through the portable VM
   kNative,    ///< compiled IR through the x86-64 emitter
@@ -43,8 +44,7 @@ std::string kernel_list();
 
 /// Applies the fallback ladder: requested -> what actually runs. Never
 /// fails; unsatisfiable requests degrade (native -> bytecode -> interp).
-KernelKind resolve_kernel(KernelKind requested, bool cache_mode,
-                          bool profiled);
+KernelKind resolve_kernel(KernelKind requested, bool cache_mode);
 
 /// Read-mostly cache of compiled Programs, shared across sweep cells.
 ///

@@ -24,7 +24,7 @@ extern "C" std::uint64_t hmem_kernel_gen_next(void* gen) {
 
 bool native_available() { return false; }
 bool NativeKernel::compile(const Program&, std::uint32_t, std::uint32_t,
-                           std::uint64_t) {
+                           std::uint64_t, bool) {
   return false;
 }
 void NativeKernel::run(Frame&) const {}
@@ -44,6 +44,13 @@ static_assert(offsetof(Frame, tier_sim) == 64);
 static_assert(offsetof(Frame, scratch) == 72);
 static_assert(offsetof(Frame, tags) == 80);
 static_assert(offsetof(Frame, lru) == 88);
+static_assert(offsetof(Frame, draw) == 120);
+static_assert(offsetof(Frame, miss_out) == 128);
+static_assert(offsetof(MissRecord, order) == 0);
+static_assert(offsetof(MissRecord, addr) == 8);
+static_assert(offsetof(MissRecord, is_write) == 16);
+static_assert(sizeof(MissRecord) == 24);
+static_assert(sizeof(bool) == 1);
 static_assert(sizeof(memsim::Address) == 8);
 static_assert(offsetof(InstanceSlot, base) == 0);
 static_assert(offsetof(InstanceSlot, latency_ns) == 8);
@@ -177,6 +184,8 @@ class Asm {
   void and_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x21); modrm(3, src, dst); }
   void xor_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x31); modrm(3, src, dst); }
   void xor32_rr(int dst, int src) { rex_opt(src, 0, dst); byte(0x31); modrm(3, src, dst); }
+  void sbb_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x19); modrm(3, src, dst); }
+  void neg_r(int r) { rex(true, 0, 0, r); byte(0xF7); modrm(3, 3, r); }
   void cmp_rr(int a, int b) { rex(true, a, 0, b); byte(0x3B); modrm(3, a, b); }  // flags(a - b)
   void cmp_r_mem(int a, int base, int disp) { rex(true, a, 0, base); byte(0x3B); mem(a, base, disp); }
   void cmp_mem_r(int base, int disp, int r) { rex(true, r, 0, base); byte(0x39); mem(r, base, disp); }
@@ -224,7 +233,8 @@ class Asm {
 }  // namespace
 
 bool NativeKernel::compile(const Program& p, std::uint32_t ways,
-                           std::uint32_t line_shift, std::uint64_t set_mask) {
+                           std::uint32_t line_shift, std::uint64_t set_mask,
+                           bool profiled) {
   if (!ExecutableAllocator::supported()) return false;
   if (entry_ != nullptr) {
     alloc_.release(entry_);
@@ -260,6 +270,7 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   // ---- per-access prelude: draw, alias sample, dispatch.
   a.bind(loop);
   a.call_label(rng_next);  // rax = draw (clobbers rdi)
+  if (profiled) a.mov_mem_r(kRbx, 120, kRax);  // keep the draw's write coin
   a.mov32_rr(kRcx, kRax);  // zero-extended low 32 bits
   a.imul_rri(kRcx, kRcx, static_cast<std::uint32_t>(n_cols));
   a.shr_ri(kRcx, 32);      // column
@@ -402,6 +413,21 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.mov_r_mem(kRcx, kRbx, 64);      // tier_sim
   a.add_sib_imm8(kRcx, kR11, 64);   // [tier] += kCacheLineBytes
   a.inc_mem(kRbx, 48);              // ++misses
+  if (profiled) {
+    // Append MissRecord{k, addr, is_write}; r10 still holds the address.
+    a.mov_r_mem(kRdi, kRbx, 128);   // miss_out
+    a.mov_mem_r(kRdi, 0, kRbp);     // order = k
+    a.mov_mem_r(kRdi, 8, kR10);     // addr
+    a.mov_r_mem(kRax, kRbx, 120);   // draw
+    a.shr_ri(kRax, static_cast<int>(p.write_shift));
+    a.mov_ri64(kRcx, p.write_threshold);
+    a.cmp_rr(kRax, kRcx);
+    a.sbb_rr(kRax, kRax);
+    a.neg_r(kRax);                  // 1 when coin < threshold, else 0
+    a.mov_mem_r(kRdi, 16, kRax);    // is_write, padding zeroed
+    a.lea_mem(kRdi, kRdi, 24);
+    a.mov_mem_r(kRbx, 128, kRdi);
+  }
   a.jmp_label(next);
 
   a.bind(hit);  // rcx = &lru[way]
@@ -471,16 +497,17 @@ void NativeKernel::run(Frame& frame) const {
 namespace {
 
 /// One-time emit-and-execute check: a small synthetic program run through
-/// both backends from identical state must agree on every output bit. A
-/// failure (broken mmap policy, emitter regression on an exotic toolchain)
-/// downgrades the process to the bytecode VM.
+/// both backends from identical state, unprofiled and profiled, must agree
+/// on every output bit and every miss record. A failure (broken mmap
+/// policy, emitter regression on an exotic toolchain) downgrades the
+/// process to the bytecode VM.
 bool native_self_test() {
   Program p;
   p.threshold = {1, 2};  // col 0 diverts half its coins to col 1
   p.alias = {1, 0};
   p.coin_mask = 1;
-  p.write_threshold = 0;
-  p.write_shift = 63;
+  p.write_threshold = 700;  // ~1/3 of the 11-bit write coin: both outcomes
+  p.write_shift = 53;
   p.block_start = {0, 2};
   Insn stack0;
   stack0.op = Op::kStackAddr;
@@ -505,54 +532,63 @@ bool native_self_test() {
 
   constexpr std::uint32_t kWays = 4;
   constexpr std::uint64_t kSets = 8;
-  const auto run = [&](bool native, double* latency, std::uint64_t* misses,
-                       std::uint64_t* tick, std::uint64_t rng_out[4],
-                       std::vector<memsim::Address>* tags,
-                       std::vector<std::uint64_t>* lru,
-                       std::uint64_t tier_sim[2]) {
-    tags->assign(kSets * kWays, memsim::Cache::kInvalidTag);
-    lru->assign(kSets * kWays, 0);
-    tier_sim[0] = tier_sim[1] = 0;
+  constexpr std::uint64_t kAccesses = 512;
+  struct Outcome {
+    double latency = 0;
+    std::uint64_t misses = 0, tick = 0;
+    std::uint64_t rng[4] = {0, 0, 0, 0};
+    std::uint64_t tier_sim[2] = {0, 0};
+    std::vector<memsim::Address> tags;
+    std::vector<std::uint64_t> lru;
+    std::pmr::vector<MissRecord> records;
+  };
+  const auto run = [&](bool native, bool profiled, Outcome& o) {
+    o.tags.assign(kSets * kWays, memsim::Cache::kInvalidTag);
+    o.lru.assign(kSets * kWays, 0);
     Frame f;
-    f.tags = tags->data();
-    f.lru = lru->data();
+    f.tags = o.tags.data();
+    f.lru = o.lru.data();
     f.ways = kWays;
     f.line_shift = 6;
     f.set_mask = kSets - 1;
-    f.n_accesses = 512;
-    f.tier_sim = tier_sim;
+    f.n_accesses = kAccesses;
+    f.tier_sim = o.tier_sim;
     Xoshiro256 rng(0x5e1f7e57ULL);
     if (native) {
       NativeKernel kern;
-      if (!kern.compile(p, kWays, 6, kSets - 1)) return false;
+      if (!kern.compile(p, kWays, 6, kSets - 1, profiled)) return false;
+      if (profiled) {
+        o.records.resize(kAccesses);
+        f.miss_out = o.records.data();
+      }
       rng.save_state(f.rng_state);
       kern.run(f);
-      for (int i = 0; i < 4; ++i) rng_out[i] = f.rng_state[i];
+      for (int i = 0; i < 4; ++i) o.rng[i] = f.rng_state[i];
+      if (profiled) {
+        o.records.resize(static_cast<std::size_t>(f.miss_out -
+                                                  o.records.data()));
+      }
     } else {
-      run_bytecode(p, f, rng, nullptr);
-      rng.save_state(rng_out);
+      run_bytecode(p, f, rng, profiled ? &o.records : nullptr);
+      rng.save_state(o.rng);
     }
-    *latency = f.latency_ns;
-    *misses = f.misses;
-    *tick = f.tick;
+    o.latency = f.latency_ns;
+    o.misses = f.misses;
+    o.tick = f.tick;
     return true;
   };
-
-  double lat_b = 0, lat_n = 0;
-  std::uint64_t miss_b = 0, miss_n = 0, tick_b = 0, tick_n = 0;
-  std::uint64_t rng_b[4], rng_n[4], sim_b[2], sim_n[2];
-  std::vector<memsim::Address> tags_b, tags_n;
-  std::vector<std::uint64_t> lru_b, lru_n;
-  if (!run(false, &lat_b, &miss_b, &tick_b, rng_b, &tags_b, &lru_b, sim_b)) {
-    return false;
+  for (const bool profiled : {false, true}) {
+    Outcome b, n;
+    if (!run(false, profiled, b) || !run(true, profiled, n)) return false;
+    const bool same =
+        bits_of(b.latency) == bits_of(n.latency) && b.misses == n.misses &&
+        b.tick == n.tick && std::memcmp(b.rng, n.rng, sizeof(b.rng)) == 0 &&
+        b.tags == n.tags && b.lru == n.lru &&
+        b.tier_sim[0] == n.tier_sim[0] && b.tier_sim[1] == n.tier_sim[1] &&
+        b.records == n.records;
+    if (!same) return false;
   }
-  if (!run(true, &lat_n, &miss_n, &tick_n, rng_n, &tags_n, &lru_n, sim_n)) {
-    return false;
-  }
-  return bits_of(lat_b) == bits_of(lat_n) && miss_b == miss_n &&
-         tick_b == tick_n && std::memcmp(rng_b, rng_n, sizeof(rng_b)) == 0 &&
-         tags_b == tags_n && lru_b == lru_n && sim_b[0] == sim_n[0] &&
-         sim_b[1] == sim_n[1];
+  return true;
 }
 
 }  // namespace

@@ -11,13 +11,20 @@
 // pages through common/exec_alloc.hpp: mapped writable, sealed read-execute
 // before the first call.
 //
+// A program compiles in one of two variants. The unprofiled one is the
+// plain burst. The profiled one additionally keeps each access's draw in
+// the Frame and appends a MissRecord per LLC miss through frame.miss_out,
+// exactly the records run_bytecode collects; the unprofiled code carries
+// none of that.
+//
 // The backend is compiled in only on x86-64 POSIX builds with the
 // HMEM_NATIVE_KERNEL CMake option on; everywhere else native_available()
 // returns false and compile() fails, which the kernel resolver turns into
 // a silent fallback to the bytecode VM. Availability includes a one-time
-// emit-and-execute self-test differenced against run_bytecode, so a
-// mis-assembling toolchain or a hardened-kernel mmap policy degrades to
-// the portable path instead of corrupting results.
+// emit-and-execute self-test of both variants differenced against
+// run_bytecode (miss records included), so a mis-assembling toolchain or a
+// hardened-kernel mmap policy degrades to the portable path instead of
+// corrupting results.
 #pragma once
 
 #include <cstdint>
@@ -45,16 +52,18 @@ class NativeKernel {
   /// the emitted code — its table buffers are baked in by address. Returns
   /// false (kernel left empty) when the backend is unavailable or a
   /// constant does not fit the emitted encoding; the caller falls back to
-  /// the bytecode VM.
+  /// the bytecode VM. `profiled` selects the miss-recording variant.
   bool compile(const Program& program, std::uint32_t ways,
-               std::uint32_t line_shift, std::uint64_t set_mask);
+               std::uint32_t line_shift, std::uint64_t set_mask,
+               bool profiled);
 
   bool ok() const { return entry_ != nullptr; }
 
   /// Executes one burst. frame.rng_state carries the xoshiro256** state in
   /// and out; tick / latency_ns / misses / tier_sim accumulate exactly as
-  /// run_bytecode would. Only unprofiled bursts: the resolver never routes
-  /// a profiled run here (miss records stay a bytecode/interpreter job).
+  /// run_bytecode would. A profiled kernel also writes one MissRecord per
+  /// miss at frame.miss_out, which must have room for n_accesses records,
+  /// and leaves it pointing past the last one.
   void run(Frame& frame) const;
 
  private:

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "engine/kernel/native.hpp"
 #include "engine/pipeline.hpp"
 #include "memsim/machine.hpp"
+#include "trace/format.hpp"
 
 namespace hmem {
 namespace {
@@ -42,50 +44,76 @@ TEST(KernelSelect, ParseAndNameRoundTrip) {
             std::string::npos);
 }
 
+/// What `auto` resolves to with no override: native where the backend is
+/// compiled in and passed its self-test, bytecode everywhere else.
+KernelKind default_kernel() {
+  return engine::kernel::native_available() ? KernelKind::kNative
+                                            : KernelKind::kBytecode;
+}
+
 TEST(KernelSelect, LadderNeverFailsAndNeverReturnsAuto) {
   unsetenv("HMEM_KERNEL");
-  // auto defaults to bytecode; interp is always honoured.
-  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false, false),
-            KernelKind::kBytecode);
-  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kInterp, false, false),
+  // auto defaults to the fastest available backend; interp is always
+  // honoured.
+  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false),
+            default_kernel());
+  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kInterp, false),
             KernelKind::kInterp);
   // Cache mode runs the interpreter regardless of the request.
   for (const KernelKind k : {KernelKind::kAuto, KernelKind::kInterp,
                              KernelKind::kBytecode, KernelKind::kNative}) {
-    EXPECT_EQ(engine::kernel::resolve_kernel(k, true, false),
-              KernelKind::kInterp);
+    EXPECT_EQ(engine::kernel::resolve_kernel(k, true), KernelKind::kInterp);
   }
-  // Profiled runs cap at bytecode (miss-record collection).
-  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kNative, false, true),
-            KernelKind::kBytecode);
   // An explicit native request degrades to bytecode when the backend is
   // compiled out or the host refuses executable pages — never an error.
-  const KernelKind native =
-      engine::kernel::resolve_kernel(KernelKind::kNative, false, false);
-  if (engine::kernel::native_available()) {
-    EXPECT_EQ(native, KernelKind::kNative);
-  } else {
-    EXPECT_EQ(native, KernelKind::kBytecode);
-  }
+  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kNative, false),
+            default_kernel());
 }
 
 TEST(KernelSelect, EnvVarSteersAutoOnly) {
   setenv("HMEM_KERNEL", "interp", 1);
-  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false, false),
+  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false),
             KernelKind::kInterp);
   // Explicit requests ignore the env var.
-  EXPECT_EQ(
-      engine::kernel::resolve_kernel(KernelKind::kBytecode, false, false),
-      KernelKind::kBytecode);
+  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kBytecode, false),
+            KernelKind::kBytecode);
   // A typo'd value keeps the default instead of aborting the run.
   setenv("HMEM_KERNEL", "turbo", 1);
-  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false, false),
-            KernelKind::kBytecode);
+  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false),
+            default_kernel());
   // "auto" in the env cannot recurse.
   setenv("HMEM_KERNEL", "auto", 1);
-  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false, false),
-            KernelKind::kBytecode);
+  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false),
+            default_kernel());
   unsetenv("HMEM_KERNEL");
+}
+
+TEST(KernelSelect, RunResultNamesTheKernelThatRan) {
+  unsetenv("HMEM_KERNEL");
+  apps::AppSpec app = apps::make_hpcg();
+  app.iterations = 1;
+  app.accesses_per_iteration = 5000;
+  const std::string expected = engine::kernel::kernel_name(default_kernel());
+  // Default options: both the profiled and the unprofiled run take the
+  // default rung — profiled runs are no longer capped below native.
+  engine::RunOptions opts;
+  opts.condition = engine::Condition::kDdr;
+  EXPECT_EQ(engine::run_app(app, opts).kernel, expected);
+  opts.profile = true;
+  EXPECT_EQ(engine::run_app(app, opts).kernel, expected);
+  // A profiled native request stays native where it is available.
+  opts.kernel = KernelKind::kNative;
+  EXPECT_EQ(engine::run_app(app, opts).kernel, expected);
+  // Explicit requests and the cache-mode rung are reported as resolved.
+  opts.kernel = KernelKind::kBytecode;
+  EXPECT_EQ(engine::run_app(app, opts).kernel, "bytecode");
+  opts.kernel = KernelKind::kInterp;
+  EXPECT_EQ(engine::run_app(app, opts).kernel, "interp");
+  engine::RunOptions cache;
+  cache.condition = engine::Condition::kCacheMode;
+  cache.node = memsim::MachineConfig::knl7250(memsim::MemMode::kCache);
+  cache.kernel = KernelKind::kNative;
+  EXPECT_EQ(engine::run_app(app, cache).kernel, "interp");
 }
 
 // ---- IR verifier -----------------------------------------------------------
@@ -332,6 +360,125 @@ TEST(ExecAlloc, RegionsAreIndependent) {
   // The destructor unmaps b.
 }
 
+// ---- native emitter vs the VM ----------------------------------------------
+
+// Executes the emitter directly rather than through native_available(), so a
+// regression shows up here instead of as the runtime self-test's silent
+// fallback to bytecode.
+TEST(NativeKernel, BothVariantsMatchTheVmIncludingMissRecords) {
+  using engine::kernel::Frame;
+  using engine::kernel::Insn;
+  using engine::kernel::InstanceSlot;
+  using engine::kernel::MissRecord;
+  using engine::kernel::Op;
+  using engine::kernel::Program;
+  apps::ObjectSpec spec;
+  spec.name = "obj";
+  spec.size_bytes = 64 * 4096;
+  // valid_program() with slot 1 turned into an instance pick, so every
+  // block shape but the single-instance one records misses.
+  const auto make = [&](apps::AccessGenerator* gen) {
+    Program p = valid_program();
+    InstanceSlot a;
+    a.base = 1ULL << 24;
+    a.latency_ns = 130.0;
+    InstanceSlot b = a;
+    b.base = 1ULL << 26;
+    b.latency_ns = 155.0;
+    b.tier = 1;
+    p.instances = {a, b};
+    p.gens = {gen};
+    Insn pick;
+    pick.op = Op::kPickAddr;
+    pick.a = 2;
+    Insn off;
+    off.op = Op::kAddGenOffset;
+    off.imm0 = spec.size_bytes;
+    Insn serve;
+    serve.op = Op::kServePicked;
+    p.code.resize(2);
+    p.code.insert(p.code.end(), {pick, off, serve});
+    return p;
+  };
+  constexpr std::uint32_t kWays = 4;
+  constexpr std::uint64_t kSets = 16;
+  constexpr std::uint64_t kAccesses = 4000;
+  struct Outcome {
+    Frame frame;
+    std::vector<memsim::Address> tags;
+    std::vector<std::uint64_t> lru;
+    std::uint64_t tier_sim[2] = {0, 0};
+    std::uint64_t rng[4] = {0, 0, 0, 0};
+    std::pmr::vector<MissRecord> records;
+  };
+  const auto run = [&](bool native, bool profiled, Outcome& o) {
+    apps::AccessGenerator gen(spec, 11);
+    const Program p = make(&gen);
+    EXPECT_EQ(engine::kernel::verify_program(p), "");
+    o.tags.assign(kSets * kWays, memsim::Cache::kInvalidTag);
+    o.lru.assign(kSets * kWays, 0);
+    Frame& f = o.frame;
+    f.tags = o.tags.data();
+    f.lru = o.lru.data();
+    f.ways = kWays;
+    f.line_shift = 6;
+    f.set_mask = kSets - 1;
+    f.n_accesses = kAccesses;
+    f.tier_sim = o.tier_sim;
+    Xoshiro256 rng(0xD1FFULL);
+    if (!native) {
+      engine::kernel::run_bytecode(p, f, rng,
+                                   profiled ? &o.records : nullptr);
+      rng.save_state(o.rng);
+      return true;
+    }
+    engine::kernel::NativeKernel kern;
+    if (!kern.compile(p, kWays, 6, kSets - 1, profiled)) return false;
+    if (profiled) {
+      o.records.resize(kAccesses);
+      f.miss_out = o.records.data();
+    }
+    rng.save_state(f.rng_state);
+    kern.run(f);
+    std::memcpy(o.rng, f.rng_state, sizeof(o.rng));
+    if (profiled) {
+      o.records.resize(
+          static_cast<std::size_t>(f.miss_out - o.records.data()));
+    }
+    return true;
+  };
+  for (const bool profiled : {false, true}) {
+    Outcome vm, nat;
+    ASSERT_TRUE(run(false, profiled, vm));
+    if (!run(true, profiled, nat)) {
+      GTEST_SKIP() << "native backend compiled out or no executable pages";
+    }
+    const std::string label = profiled ? "profiled" : "unprofiled";
+    EXPECT_EQ(std::memcmp(&nat.frame.latency_ns, &vm.frame.latency_ns,
+                          sizeof(double)),
+              0)
+        << label;
+    EXPECT_EQ(nat.frame.misses, vm.frame.misses) << label;
+    EXPECT_EQ(nat.frame.tick, vm.frame.tick) << label;
+    EXPECT_EQ(std::memcmp(nat.rng, vm.rng, sizeof(vm.rng)), 0) << label;
+    EXPECT_EQ(nat.tags, vm.tags) << label;
+    EXPECT_EQ(nat.lru, vm.lru) << label;
+    EXPECT_EQ(nat.tier_sim[0], vm.tier_sim[0]) << label;
+    EXPECT_EQ(nat.tier_sim[1], vm.tier_sim[1]) << label;
+    if (!profiled) {
+      EXPECT_TRUE(nat.records.empty());
+      continue;
+    }
+    EXPECT_TRUE(nat.records == vm.records);
+    EXPECT_EQ(vm.records.size(), vm.frame.misses);
+    // Both write-coin outcomes occur, so the coin is really compared.
+    std::size_t writes = 0;
+    for (const MissRecord& r : vm.records) writes += r.is_write ? 1 : 0;
+    EXPECT_GT(writes, 0u);
+    EXPECT_LT(writes, vm.records.size());
+  }
+}
+
 // ---- differential bit-identity ---------------------------------------------
 
 void expect_same_run(const engine::RunResult& oracle,
@@ -409,16 +556,20 @@ TEST(KernelDifferential, BaselineConditionsOnKnl) {
   }
 }
 
-TEST(KernelDifferential, FrameworkAndDynamicAcrossAllPresets) {
-  const std::pair<const char*, memsim::MachineConfig> presets[] = {
+/// The four flat-mode machine presets, by CLI name.
+std::vector<std::pair<const char*, memsim::MachineConfig>> presets() {
+  return {
       {"knl", memsim::MachineConfig::knl7250(memsim::MemMode::kFlat)},
       {"spr-hbm", memsim::MachineConfig::spr_hbm(memsim::MemMode::kFlat)},
       {"ddr-cxl", memsim::MachineConfig::ddr_cxl(memsim::MemMode::kFlat)},
       {"hbm-ddr-pmem",
        memsim::MachineConfig::hbm_ddr_pmem(memsim::MemMode::kFlat)},
   };
+}
+
+TEST(KernelDifferential, FrameworkAndDynamicAcrossAllPresets) {
   for (const apps::AppSpec& app : differential_apps()) {
-    for (const auto& [preset_name, node] : presets) {
+    for (const auto& [preset_name, node] : presets()) {
       // One pipeline per (app, preset) produces the placement and the
       // per-phase schedule both conditions consume.
       engine::PipelineOptions popts;
@@ -451,33 +602,78 @@ TEST(KernelDifferential, FrameworkAndDynamicAcrossAllPresets) {
   }
 }
 
+/// A profiled run's trace in the binary format: the bytes a shard file of
+/// this run would hold.
+std::string trace_bytes(const engine::RunResult& run) {
+  std::ostringstream os;
+  const auto writer =
+      trace::make_trace_writer(os, *run.sites, trace::TraceFormat::kBinary);
+  for (const trace::Event& event : run.trace->events()) {
+    writer->on_event(event);
+  }
+  writer->finish();
+  return os.str();
+}
+
 TEST(KernelDifferential, ProfiledRunsMatchTheOracle) {
-  const memsim::MachineConfig node =
-      memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
-  for (const char* name : {"hpcg", "churn"}) {
-    const apps::AppSpec app = shrink(apps::app_by_name(name));
-    engine::RunOptions opts;
-    opts.condition = engine::Condition::kNumactl;
-    opts.node = node;
-    opts.profile = true;
-    opts.sampler.period = 53;
-    opts.kernel = KernelKind::kInterp;
-    const engine::RunResult oracle = engine::run_app(app, opts);
-    // Native resolves to bytecode when profiled; request it anyway so the
-    // fallback is what actually executes.
-    for (const KernelKind k : {KernelKind::kBytecode, KernelKind::kNative}) {
-      opts.kernel = k;
-      const engine::RunResult got = engine::run_app(app, opts);
-      const std::string label =
-          std::string(name) + "/profiled/" + engine::kernel::kernel_name(k);
-      expect_same_run(oracle, got, label);
-      EXPECT_EQ(got.samples, oracle.samples) << label;
-      EXPECT_EQ(got.monitoring_overhead, oracle.monitoring_overhead) << label;
-      ASSERT_NE(got.trace, nullptr) << label;
-      ASSERT_NE(oracle.trace, nullptr) << label;
-      EXPECT_EQ(got.trace->size(), oracle.trace->size()) << label;
+  // hpcg is steady; churn reallocates an object every iteration and
+  // transient allocates and frees phase-scoped objects, so both recompile
+  // mid-run. The dynamic churn run adds migration-driven recompiles.
+  struct Case {
+    const char* app;
+    engine::Condition condition;
+  };
+  const Case cases[] = {{"hpcg", engine::Condition::kNumactl},
+                        {"churn", engine::Condition::kNumactl},
+                        {"transient", engine::Condition::kFramework},
+                        {"churn", engine::Condition::kDynamic}};
+  for (const auto& [preset_name, node] : presets()) {
+    for (const Case& c : cases) {
+      const apps::AppSpec app = shrink(apps::app_by_name(c.app));
+      engine::PipelineResult pipe;
+      engine::RunOptions opts;
+      opts.condition = c.condition;
+      opts.node = node;
+      if (c.condition != engine::Condition::kNumactl) {
+        engine::PipelineOptions popts;
+        popts.node = node;
+        popts.per_phase = true;
+        popts.sampler.period = 197;
+        pipe = engine::run_pipeline(app, popts);
+        if (c.condition == engine::Condition::kFramework) {
+          opts.placement = &pipe.placement;
+        } else {
+          opts.schedule = &pipe.schedule;
+        }
+      }
+      opts.profile = true;
+      opts.sampler.period = 53;
+      opts.kernel = KernelKind::kInterp;
+      const engine::RunResult oracle = engine::run_app(app, opts);
+      ASSERT_NE(oracle.trace, nullptr);
+      const std::string oracle_bytes = trace_bytes(oracle);
+      const std::string base = std::string(c.app) + "/" + preset_name + "/" +
+                               engine::condition_name(c.condition);
+      EXPECT_GT(oracle.samples, 0u) << base;
+      // A native request runs native wherever it is available and bytecode
+      // elsewhere; either way the records must be the oracle's.
+      for (const KernelKind k : {KernelKind::kBytecode, KernelKind::kNative}) {
+        opts.kernel = k;
+        const engine::RunResult got = engine::run_app(app, opts);
+        const std::string label =
+            base + "/profiled/" + engine::kernel::kernel_name(k);
+        EXPECT_EQ(got.kernel, engine::kernel::kernel_name(
+                                  engine::kernel::resolve_kernel(k, false)))
+            << label;
+        expect_same_run(oracle, got, label);
+        EXPECT_EQ(got.samples, oracle.samples) << label;
+        EXPECT_EQ(got.monitoring_overhead, oracle.monitoring_overhead)
+            << label;
+        ASSERT_NE(got.trace, nullptr) << label;
+        EXPECT_TRUE(got.trace->events() == oracle.trace->events()) << label;
+        EXPECT_TRUE(trace_bytes(got) == oracle_bytes) << label;
+      }
     }
-    EXPECT_GT(oracle.samples, 0u) << name;
   }
 }
 

@@ -144,7 +144,7 @@ TEST(Arena, GrowsAndServesOversizedRequests) {
   const std::size_t reserved0 = arena.reserved_bytes();
   EXPECT_EQ(reserved0, 0u);
   // Force growth past the first chunk.
-  for (int i = 0; i < 100; ++i) arena.allocate(1000, 8);
+  for (int i = 0; i < 100; ++i) EXPECT_NE(arena.allocate(1000, 8), nullptr);
   EXPECT_GT(arena.chunk_count(), 1u);
   // An oversized request gets its own exact chunk.
   const std::size_t huge = Arena::kMaxChunkBytes + 4096;
@@ -154,7 +154,7 @@ TEST(Arena, GrowsAndServesOversizedRequests) {
   // All of it is reusable after reset without new reservations.
   const std::size_t reserved = arena.reserved_bytes();
   arena.reset();
-  for (int i = 0; i < 100; ++i) arena.allocate(1000, 8);
+  for (int i = 0; i < 100; ++i) EXPECT_NE(arena.allocate(1000, 8), nullptr);
   EXPECT_EQ(arena.reserved_bytes(), reserved);
 }
 

@@ -38,7 +38,8 @@
 //     jobs        run conditions concurrently (default 1)
 //     kernel      access-loop backend: interp | bytecode | native | auto
 //                 (default auto, which honours HMEM_KERNEL then picks
-//                 bytecode). All kernels produce bit-identical reports;
+//                 native where available, else bytecode). All kernels
+//                 produce bit-identical reports;
 //                 unavailable choices fall back down the ladder.
 //     replay      recorded trace shard(s); pass every .rank<k> shard of a
 //                 multi-rank profile
