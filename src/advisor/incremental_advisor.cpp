@@ -82,11 +82,6 @@ RefreshStats IncrementalAdvisor::refresh(
   }
   if (placements_changed && phases > 0) {
     compute_migrations(schedule_);
-    // Consumers holding a pointer to schedule_ across refreshes (the
-    // engine's advisor_hook) detect this mutation by the generation bump;
-    // when nothing changed, schedule_ was not touched at all and every
-    // pointer into it stays valid.
-    ++schedule_.generation;
     stats.schedule_changed = true;
   }
   return stats;

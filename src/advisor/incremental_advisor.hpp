@@ -1,5 +1,5 @@
 // Incremental placement advisor — the amortized re-solve wrapper around the
-// per-phase knapsack cascade (ROADMAP #2, the solve core of hmem_served).
+// per-phase knapsack cascade, behind `hmem_advise --stream`.
 //
 // PhaseAdvisor::advise is batch: every phase's knapsack re-runs on every
 // call, whether or not that phase's profile moved. IncrementalAdvisor keeps
@@ -66,12 +66,9 @@ class IncrementalAdvisor {
                        bool finalize = false);
 
   /// Per-phase schedule over everything consumed so far; empty (no phases)
-  /// until the stream carries phase events. The object is mutated in place
-  /// by refresh(): its `generation` counter moves whenever the contents
-  /// changed, which is how a consumer holding this reference across
-  /// refreshes (the engine's advisor_hook) tells a refreshed answer from
-  /// the unchanged one. A refresh that changed nothing leaves the object —
-  /// and every pointer into it — untouched.
+  /// until the stream carries phase events. refresh() mutates the object
+  /// in place and reports it in RefreshStats::schedule_changed; a refresh
+  /// that changed nothing leaves it untouched.
   const PlacementSchedule& schedule() const { return schedule_; }
   bool has_phases() const { return !schedule_.phases.empty(); }
   /// Whole-run (static) placement over everything consumed so far.

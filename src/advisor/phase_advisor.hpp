@@ -52,13 +52,6 @@ struct PhasePlacement {
 /// diff between consecutive phases.
 struct PlacementSchedule {
   std::vector<PhasePlacement> phases;
-  /// Monotonic content version. A producer that mutates one schedule object
-  /// in place (IncrementalAdvisor::refresh) bumps this whenever anything —
-  /// phase set, a placement, the migration lists — changes, so a consumer
-  /// holding the same pointer across refreshes (engine::RunOptions::
-  /// advisor_hook) can detect the change without comparing contents.
-  /// Producers that build a fresh schedule per answer may leave it 0.
-  std::uint64_t generation = 0;
   /// migrations[p] is applied on *entering* phase p from the previous phase
   /// in cycle order ((p - 1 + P) % P) — migrations[0] is the wrap-around
   /// applied at each iteration boundary. Demotions are listed before

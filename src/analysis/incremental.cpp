@@ -1,7 +1,6 @@
 #include "analysis/incremental.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.hpp"
 
@@ -20,9 +19,8 @@ bool by_misses(const advisor::ObjectInfo& a, const advisor::ObjectInfo& b) {
 
 }  // namespace
 
-IncrementalAggregator::IncrementalAggregator(const callstack::SiteDb& sites,
-                                             IncrementalOptions options)
-    : sites_(&sites), options_(options) {
+IncrementalAggregator::IncrementalAggregator(const callstack::SiteDb& sites)
+    : sites_(&sites) {
   accum_.resize(sites.size());
 }
 
@@ -53,7 +51,6 @@ void IncrementalAggregator::on_alloc(const trace::AllocEvent& e) {
   }
   sa.seen = true;
   sa.max_size = std::max(sa.max_size, e.size);
-  sa.live_bytes += e.size;
   registry_.on_alloc(e.addr, e.size, e.site);
 }
 
@@ -61,11 +58,7 @@ void IncrementalAggregator::on_free(const trace::FreeEvent& e) {
   std::lock_guard<std::mutex> lock(mu_);
   check_order(e.time_ns);
   ++events_;
-  const auto obj = registry_.on_free(e.addr);
-  if (obj) {
-    SiteAccum& sa = accum_for(obj->site);
-    sa.live_bytes -= std::min(sa.live_bytes, obj->size);
-  }
+  registry_.on_free(e.addr);
 }
 
 void IncrementalAggregator::on_sample(const trace::SampleEvent& e) {
@@ -80,18 +73,8 @@ void IncrementalAggregator::on_sample(const trace::SampleEvent& e) {
     unattributed_misses_ += e.weight;
     return;
   }
-  ++samples_;
   ++version_;
-  SiteAccum& sa = accum_for(obj->site);
-  sa.misses += e.weight;
-  if (options_.decay_half_life_samples > 0) {
-    // Lazy decay: only the touched site pays the pow(); every other site's
-    // value decays arithmetically at read time from its stored clock.
-    const double elapsed = static_cast<double>(samples_ - sa.decayed_at);
-    sa.decayed *= std::exp2(-elapsed / options_.decay_half_life_samples);
-    sa.decayed += static_cast<double>(e.weight);
-    sa.decayed_at = samples_;
-  }
+  accum_for(obj->site).misses += e.weight;
   if (!open_phases_.empty()) {
     PhaseAccum& pa = phase_accum_[open_phases_.back()];
     if (obj->site >= pa.misses.size()) pa.misses.resize(sites_->size(), 0);
@@ -254,22 +237,6 @@ std::uint64_t IncrementalAggregator::samples_seen() const {
 std::uint64_t IncrementalAggregator::attributed_misses() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_weighted_misses_ - unattributed_misses_;
-}
-
-double IncrementalAggregator::decayed_misses(callstack::SiteId site) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (options_.decay_half_life_samples <= 0 || site >= accum_.size()) {
-    return 0.0;
-  }
-  const SiteAccum& sa = accum_[site];
-  const double elapsed = static_cast<double>(samples_ - sa.decayed_at);
-  return sa.decayed * std::exp2(-elapsed / options_.decay_half_life_samples);
-}
-
-std::uint64_t IncrementalAggregator::live_bytes(
-    callstack::SiteId site) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return site < accum_.size() ? accum_[site].live_bytes : 0;
 }
 
 }  // namespace hmem::analysis

@@ -1,5 +1,5 @@
 // Incremental trace aggregation — the streaming counterpart of
-// AggregateVisitor (ROADMAP #2, the ingestion core of hmem_served).
+// AggregateVisitor, fed by `hmem_advise --stream`.
 //
 // AggregateVisitor is single-shot: feed the whole stream, call finish()
 // once, the accumulators are consumed. IncrementalAggregator keeps the
@@ -17,17 +17,12 @@
 // deliberately independent — sharing the accumulator code would make the
 // differential suite test nothing.
 //
-// On top of the exact counters, the aggregator maintains an optional
-// exponentially *decayed* per-site miss view (half-life in sample events)
-// and per-site live-byte tracking. These never influence snapshot() — they
-// are the recency signal a serving advisor can rank by — so the exact
-// convergence guarantee is unconditional.
-//
 // Thread safety: all mutating visitor callbacks and all readers
 // (snapshot(), the version counters, the views) synchronize on one
 // internal mutex, so one writer thread may stream events while other
-// threads take snapshots — the serving pattern. The writer must still be a
-// single thread (events must arrive in time order, as in the batch path).
+// threads take snapshots or refresh an IncrementalAdvisor. The writer must
+// still be a single thread (events must arrive in time order, as in the
+// batch path).
 #pragma once
 
 #include <cstdint>
@@ -41,13 +36,6 @@
 #include "trace/visitor.hpp"
 
 namespace hmem::analysis {
-
-struct IncrementalOptions {
-  /// Half-life, in attributed sample events, of the decayed per-site miss
-  /// view (decayed_misses()). Zero disables the decayed counters; the exact
-  /// cumulative counters behind snapshot() are maintained regardless.
-  double decay_half_life_samples = 0.0;
-};
 
 /// Atomic (single-lock) read of the whole-run object profile plus the
 /// version counters that were current when it was taken — what
@@ -70,8 +58,7 @@ struct PhaseView {
 
 class IncrementalAggregator : public trace::EventVisitor {
  public:
-  explicit IncrementalAggregator(const callstack::SiteDb& sites,
-                                 IncrementalOptions options = {});
+  explicit IncrementalAggregator(const callstack::SiteDb& sites);
 
   void on_alloc(const trace::AllocEvent& e) override;
   void on_free(const trace::FreeEvent& e) override;
@@ -107,21 +94,11 @@ class IncrementalAggregator : public trace::EventVisitor {
   std::uint64_t samples_seen() const;
   std::uint64_t attributed_misses() const;
 
-  // ---- Windowed/decayed + live views (never feed snapshot()) -----------
-  /// Exponentially decayed weighted misses for a site, decayed to "now"
-  /// (the current attributed-sample count). Zero when the option is off.
-  double decayed_misses(callstack::SiteId site) const;
-  /// Bytes currently live (allocated and not yet freed) at a site.
-  std::uint64_t live_bytes(callstack::SiteId site) const;
-
  private:
   struct SiteAccum {
     std::uint64_t max_size = 0;
     std::uint64_t misses = 0;
     bool seen = false;
-    std::uint64_t live_bytes = 0;
-    double decayed = 0.0;
-    std::uint64_t decayed_at = 0;  ///< attributed-sample clock of last touch
   };
   struct PhaseAccum {
     std::string name;
@@ -140,7 +117,6 @@ class IncrementalAggregator : public trace::EventVisitor {
 
   mutable std::mutex mu_;
   const callstack::SiteDb* sites_;
-  IncrementalOptions options_;
   std::vector<SiteAccum> accum_;
   std::vector<PhaseAccum> phase_accum_;   ///< first-seen phase-name order
   std::vector<std::size_t> open_phases_;  ///< indices into phase_accum_
@@ -148,7 +124,6 @@ class IncrementalAggregator : public trace::EventVisitor {
   double last_time_ = -1.0;
 
   std::uint64_t events_ = 0;
-  std::uint64_t samples_ = 0;  ///< attributed-sample clock for decay
   std::uint64_t total_samples_ = 0;
   std::uint64_t total_weighted_misses_ = 0;
   std::uint64_t unattributed_samples_ = 0;

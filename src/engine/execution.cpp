@@ -453,15 +453,11 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   // (a real migration stalls the ranks the same way). A single-phase
   // schedule never transitions, making the run bit-identical to kFramework
   // on the same placement.
-  const advisor::PlacementSchedule* schedule = options.schedule;
-  const bool has_hook = static_cast<bool>(options.advisor_hook);
-  // A hook keeps the dynamic machinery armed even on a single-phase
-  // schedule: the advisor may still grow the schedule mid-run.
-  const bool dynamic_on =
-      options.condition == Condition::kDynamic &&
-      (has_hook || schedule->phases.size() > 1);
+  const advisor::PlacementSchedule* const schedule = options.schedule;
+  const bool dynamic_on = options.condition == Condition::kDynamic &&
+                          schedule->phases.size() > 1;
   const std::size_t slow_policy_tier = policy_tiers.size() - 1;
-  std::vector<std::size_t> sched_of_phase;          // app phase -> schedule
+  std::vector<std::size_t> sched_of_phase;             // app phase -> schedule
   std::vector<std::vector<std::size_t>> desired_tier;  // [sched][object]
   std::pmr::vector<std::uint64_t> migration_real(n_tiers, 0,
                                                  scratch);  // real bytes/tier
@@ -469,29 +465,32 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   std::uint64_t migration_bytes_total = 0;
   std::uint64_t migration_moves = 0;
   double migration_cost_ns = 0;
-  // The placement currently applied to the runtime. Identity (not index)
-  // so a hook swapping in a refreshed schedule mid-run forces the next
-  // transition to re-apply; nullptr marks exactly that state. Compared,
-  // never dereferenced — and reset whenever the schedule is re-adopted, so
-  // it never outlives the storage it points into.
-  const advisor::Placement* applied =
-      dynamic_on ? &schedule->phases.front().placement : nullptr;
-  // Content version of the adopted schedule. A hook may mutate one schedule
-  // object in place (IncrementalAdvisor::refresh does) and return the same
-  // pointer, so pointer inequality alone cannot detect a refresh.
-  std::uint64_t adopted_generation = dynamic_on ? schedule->generation : 0;
-  // Per schedule phase, the policy tier every object belongs in — matched
-  // by allocation call-stack, the same identity auto-hbwmalloc uses.
-  // Rebuilt whenever the hook swaps or refreshes the schedule.
-  auto build_desired = [&](const advisor::PlacementSchedule& sched) {
+  // The schedule phase whose placement the runtime currently holds.
+  std::size_t applied = 0;
+  if (dynamic_on) {
+    // Resolve every app phase upfront and insist on full coverage.
+    sched_of_phase.resize(app.phases.size());
+    for (std::size_t p = 0; p < app.phases.size(); ++p) {
+      std::size_t found = schedule->phases.size();
+      for (std::size_t sp = 0; sp < schedule->phases.size(); ++sp) {
+        if (schedule->phases[sp].phase == app.phases[p].name) {
+          found = sp;
+          break;
+        }
+      }
+      HMEM_ASSERT_MSG(found < schedule->phases.size(),
+                      "schedule is missing a placement for an app phase");
+      sched_of_phase[p] = found;
+    }
+    // Per schedule phase, the policy tier every object belongs in — matched
+    // by allocation call-stack, the same identity auto-hbwmalloc uses.
     const std::size_t promotable =
-        std::min(sched.phases.front().placement.tiers.size() - 1,
+        std::min(schedule->phases.front().placement.tiers.size() - 1,
                  slow_policy_tier);
-    desired_tier.assign(
-        sched.phases.size(),
-        std::vector<std::size_t>(n_objects, slow_policy_tier));
-    for (std::size_t sp = 0; sp < sched.phases.size(); ++sp) {
-      const advisor::Placement& pl = sched.phases[sp].placement;
+    desired_tier.assign(schedule->phases.size(),
+                        std::vector<std::size_t>(n_objects, slow_policy_tier));
+    for (std::size_t sp = 0; sp < schedule->phases.size(); ++sp) {
+      const advisor::Placement& pl = schedule->phases[sp].placement;
       std::unordered_map<callstack::SymbolicCallStack, std::size_t> tier_of;
       for (std::size_t t = 0; t + 1 < pl.tiers.size(); ++t) {
         for (const auto& obj : pl.tiers[t].objects) {
@@ -506,40 +505,10 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
         }
       }
     }
-  };
-  if (dynamic_on) {
-    if (!has_hook) {
-      // Static schedule: resolve every app phase upfront and insist on
-      // full coverage. With a hook, coverage is allowed to grow mid-run
-      // and phases are resolved by name at each boundary instead.
-      sched_of_phase.resize(app.phases.size());
-      for (std::size_t p = 0; p < app.phases.size(); ++p) {
-        std::size_t found = schedule->phases.size();
-        for (std::size_t sp = 0; sp < schedule->phases.size(); ++sp) {
-          if (schedule->phases[sp].phase == app.phases[p].name) {
-            found = sp;
-            break;
-          }
-        }
-        HMEM_ASSERT_MSG(found < schedule->phases.size(),
-                        "schedule is missing a placement for an app phase");
-        sched_of_phase[p] = found;
-      }
-    }
-    build_desired(*schedule);
   }
   auto schedule_transition = [&](std::size_t sp) {
-    // Fail fast if the adopted schedule changed shape without the engine
-    // noticing (a hook mutating in place without bumping `generation`):
-    // desired_tier is rebuilt on every adoption, so a mismatch here means
-    // the contract was violated and indexing would read out of bounds.
-    HMEM_ASSERT_MSG(
-        desired_tier.size() == schedule->phases.size() &&
-            sp < desired_tier.size(),
-        "schedule mutated in place without a generation bump (see "
-        "RunOptions::advisor_hook contract)");
-    if (&schedule->phases[sp].placement == applied) return;
-    applied = &schedule->phases[sp].placement;
+    if (sp == applied) return;
+    applied = sp;
     framework->set_placement(schedule->phases[sp].placement);
     std::fill(mig_scratch.begin(), mig_scratch.end(), 0);
     double alloc_ns = 0;
@@ -579,39 +548,6 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
     interpose_ns += alloc_ns;
     migration_cost_ns += mig_ns;
   };
-  // One schedule decision: consult the hook (which may swap in a refreshed
-  // schedule), then transition to this app phase's placement. A phase the
-  // schedule does not name yet keeps the last applied placement — the
-  // advisor simply has not seen it; the next refresh will. A refresh is
-  // detected by pointer OR generation change: an IncrementalAdvisor mutates
-  // its one schedule object in place and bumps `generation`, so the hook
-  // returns the same pointer for every answer.
-  auto consult_schedule = [&](std::size_t p, std::uint64_t iteration) {
-    if (has_hook) {
-      const advisor::PlacementSchedule* next =
-          options.advisor_hook(app.phases[p].name, iteration);
-      if (next != nullptr &&
-          (next != schedule || next->generation != adopted_generation)) {
-        HMEM_ASSERT_MSG(!next->phases.empty(),
-                        "advisor hook returned an empty schedule");
-        schedule = next;
-        adopted_generation = next->generation;
-        build_desired(*schedule);
-        applied = nullptr;  // force re-apply from the refreshed schedule
-      }
-      std::size_t found = schedule->phases.size();
-      for (std::size_t sp = 0; sp < schedule->phases.size(); ++sp) {
-        if (schedule->phases[sp].phase == app.phases[p].name) {
-          found = sp;
-          break;
-        }
-      }
-      if (found < schedule->phases.size()) schedule_transition(found);
-      return;
-    }
-    schedule_transition(sched_of_phase[p]);
-  };
-
   // ---- Main loop ---------------------------------------------------------
   std::pmr::vector<std::uint64_t> total_tier_sim(n_tiers, 0, scratch);
   std::uint64_t total_misses_sim = 0;
@@ -652,7 +588,7 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
     // The wrap-around transition happens before the churn reallocations so
     // churned objects are born under the placement of the phase about to
     // run instead of being migrated right after allocation.
-    if (dynamic_on) consult_schedule(0, iter);
+    if (dynamic_on) schedule_transition(sched_of_phase[0]);
     for (std::size_t i = 0; i < n_objects; ++i) {
       if (app.objects[i].churn) {
         if (!state[i].instances.empty()) do_free(i);
@@ -662,7 +598,7 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
 
     for (std::size_t p = 0; p < app.phases.size(); ++p) {
       const apps::PhaseSpec& phase = app.phases[p];
-      if (dynamic_on) consult_schedule(p, iter);
+      if (dynamic_on) schedule_transition(sched_of_phase[p]);
       for (std::size_t i = 0; i < n_objects; ++i) {
         if (app.objects[i].transient_phase == static_cast<int>(p))
           do_alloc(i);
@@ -734,8 +670,6 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
               options.program_cache->insert(cache_key, kp.program);
             }
           }
-          kp.program.live_epoch = live_epoch;
-          kp.program.addr_epoch = addr_epoch;
           kp.live_epoch = live_epoch;
           kp.addr_epoch = addr_epoch;
           kp.use_native = false;

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <memory_resource>
 #include <optional>
@@ -56,27 +55,6 @@ struct RunOptions {
   /// (they come from the same app's trace). With a single-phase schedule
   /// the run is bit-identical to kFramework on the same placement.
   const advisor::PlacementSchedule* schedule = nullptr;
-  /// Mid-stream advisor hook (dynamic condition only). Consulted at every
-  /// schedule decision point — the iteration wrap-around and each phase
-  /// entry — with the app phase about to run; returning a schedule adopts
-  /// it from that boundary on (an IncrementalAdvisor's latest answer, say),
-  /// nullptr keeps the current one. The engine detects a refresh by pointer
-  /// OR PlacementSchedule::generation change, so returning the same object
-  /// mutated in place is supported — but the mutator MUST bump `generation`
-  /// whenever the contents change (IncrementalAdvisor::refresh does; the
-  /// engine asserts on a shape change it was not told about). Lifetime: the
-  /// engine keeps dereferencing the adopted schedule at every subsequent
-  /// boundary, so it must stay alive — and, at an unchanged generation,
-  /// unmodified — until a different schedule is adopted or run_app returns;
-  /// returning nullptr keeps the previously returned schedule live and in
-  /// use. With a hook set the schedule may omit app phases — the engine
-  /// keeps the last applied placement for a phase the advisor has not seen
-  /// yet instead of asserting — and the dynamic machinery stays armed even
-  /// while the schedule has a single phase, so the run can react to phase
-  /// shifts the initial answer never saw.
-  std::function<const advisor::PlacementSchedule*(const std::string& phase,
-                                                  std::uint64_t iteration)>
-      advisor_hook;
   runtime::AutoHbwOptions runtime_options;
 
   /// Attach the profiler (stage-1 run): collect the trace, pay the cost.

@@ -227,27 +227,6 @@ TEST(IncrementalAdvisor, CleanPhasesAreNotResolved) {
   EXPECT_EQ(inc.total_resolves(), solves);
 }
 
-TEST(IncrementalAdvisor, GenerationMovesExactlyWhenTheScheduleChanges) {
-  // The engine detects an in-place refresh by PlacementSchedule::generation;
-  // the advisor must bump it on every content change and leave it (and the
-  // object) untouched when a refresh was a no-op.
-  const auto node = all_presets().front();
-  const auto run = profiled_run(apps::make_lulesh(), node);
-  IncrementalAggregator agg(*run.sites);
-  trace::visit_buffer(*run.trace, agg);
-
-  advisor::IncrementalAdvisor inc(spec_for(node), advisor::Options{});
-  EXPECT_EQ(inc.schedule().generation, 0u);
-  const advisor::RefreshStats first = inc.refresh(agg, /*finalize=*/true);
-  ASSERT_TRUE(first.schedule_changed);
-  const std::uint64_t gen = inc.schedule().generation;
-  EXPECT_GT(gen, 0u);
-
-  const advisor::RefreshStats second = inc.refresh(agg, /*finalize=*/true);
-  EXPECT_FALSE(second.schedule_changed);
-  EXPECT_EQ(inc.schedule().generation, gen);
-}
-
 TEST(IncrementalAdvisor, DriftThresholdDefersButFinalizeConverges) {
   const auto node = all_presets().front();
   const auto run = profiled_run(apps::make_churn(), node);
@@ -273,7 +252,7 @@ TEST(IncrementalAdvisor, DriftThresholdDefersButFinalizeConverges) {
 }
 
 // ---- Concurrency: snapshot is a reader racing the writer -----------------
-// The serving pattern: one thread feeds events, others take snapshots.
+// One thread feeds events while others take snapshots or refresh.
 // Run under TSan in CI; the final convergence check keeps it meaningful
 // without a sanitizer too.
 
@@ -282,9 +261,7 @@ TEST(IncrementalAggregator, SnapshotConcurrentWithWriter) {
   const AggregateResult batch =
       analysis::aggregate_trace(*run.trace, *run.sites);
 
-  analysis::IncrementalOptions opts;
-  opts.decay_half_life_samples = 64;
-  IncrementalAggregator inc(*run.sites, opts);
+  IncrementalAggregator inc(*run.sites);
   std::atomic<bool> done{false};
 
   std::thread reader([&] {
@@ -298,7 +275,6 @@ TEST(IncrementalAggregator, SnapshotConcurrentWithWriter) {
         (void)inc.phase_view(p);
       }
       (void)inc.objects_view();
-      (void)inc.decayed_misses(0);
     }
   });
   trace::visit_buffer(*run.trace, inc);
@@ -329,205 +305,6 @@ TEST(IncrementalAdvisor, RefreshConcurrentWithWriter) {
   const advisor::PhaseAdvisor batch_advisor(spec, advisor::Options{});
   EXPECT_EQ(advisor::write_schedule_report(batch_advisor.advise(batch.phases)),
             advisor::write_schedule_report(inc.schedule()));
-}
-
-// ---- Decayed / live views -------------------------------------------------
-
-callstack::SymbolicCallStack stack_of(const std::string& fn) {
-  callstack::SymbolicCallStack s;
-  s.frames.push_back(callstack::CodeLocation{"app.x", fn, 1});
-  return s;
-}
-
-TEST(IncrementalAggregator, DecayedCountersFavorRecency) {
-  callstack::SiteDb sites;
-  const auto a = sites.intern("A", stack_of("alloc_A"));
-  const auto b = sites.intern("B", stack_of("alloc_B"));
-  analysis::IncrementalOptions opts;
-  opts.decay_half_life_samples = 4;
-  IncrementalAggregator inc(sites, opts);
-  inc.on_alloc(trace::AllocEvent{0, a, 0x1000, 4096});
-  inc.on_alloc(trace::AllocEvent{1, b, 0x8000, 4096});
-  // A dominates early, then B takes over: 40 samples on A, then 20 on B.
-  double t = 2;
-  for (int i = 0; i < 40; ++i) {
-    inc.on_sample(trace::SampleEvent{t++, 0x1000, false, 10});
-  }
-  for (int i = 0; i < 20; ++i) {
-    inc.on_sample(trace::SampleEvent{t++, 0x8000, false, 10});
-  }
-  // Cumulative (what snapshot/batch see): A still leads.
-  const AggregateResult snap = inc.snapshot();
-  EXPECT_EQ(snap.objects[0].name, "A");
-  EXPECT_EQ(snap.objects[0].llc_misses, 400u);
-  // Decayed recency view: B leads — 20 half-lives since A was last touched.
-  EXPECT_GT(inc.decayed_misses(b), inc.decayed_misses(a));
-}
-
-TEST(IncrementalAggregator, LiveBytesTrackAllocFree) {
-  callstack::SiteDb sites;
-  const auto a = sites.intern("A", stack_of("alloc_A"));
-  IncrementalAggregator inc(sites);
-  inc.on_alloc(trace::AllocEvent{0, a, 0x1000, 4096});
-  inc.on_alloc(trace::AllocEvent{1, a, 0x8000, 8192});
-  EXPECT_EQ(inc.live_bytes(a), 12288u);
-  inc.on_free(trace::FreeEvent{2, 0x1000});
-  EXPECT_EQ(inc.live_bytes(a), 8192u);
-  inc.on_free(trace::FreeEvent{3, 0x8000});
-  EXPECT_EQ(inc.live_bytes(a), 0u);
-}
-
-// ---- Engine: the mid-stream advisor hook ----------------------------------
-
-TEST(AdvisorHook, NullReturningHookIsBitIdenticalToStaticSchedule) {
-  const auto node = all_presets().front();
-  const auto app = apps::make_lulesh();
-  const auto run = profiled_run(app, node);
-  const AggregateResult batch =
-      analysis::aggregate_trace(*run.trace, *run.sites);
-  const advisor::PhaseAdvisor batch_advisor(spec_for(node),
-                                            advisor::Options{});
-  const advisor::PlacementSchedule schedule =
-      batch_advisor.advise(batch.phases);
-
-  engine::RunOptions base;
-  base.condition = engine::Condition::kDynamic;
-  base.schedule = &schedule;
-  base.node = node;
-  const engine::RunResult reference = engine::run_app(app, base);
-
-  engine::RunOptions hooked = base;
-  std::uint64_t consultations = 0;
-  hooked.advisor_hook = [&](const std::string&, std::uint64_t)
-      -> const advisor::PlacementSchedule* {
-    ++consultations;
-    return nullptr;  // keep the current schedule: must change nothing
-  };
-  const engine::RunResult got = engine::run_app(app, hooked);
-  EXPECT_GT(consultations, 0u);
-  EXPECT_EQ(reference.fom, got.fom);
-  EXPECT_EQ(reference.time_s, got.time_s);
-  EXPECT_EQ(reference.llc_misses, got.llc_misses);
-  EXPECT_EQ(reference.migration_bytes, got.migration_bytes);
-  EXPECT_EQ(reference.migration_count, got.migration_count);
-}
-
-TEST(AdvisorHook, ScheduleCanGrowMidRunFromASinglePhase) {
-  // The dynamic condition used to assert when the schedule missed an app
-  // phase; with a hook the schedule may start with one phase (all the
-  // advisor has seen) and grow as the advisor catches up mid-run.
-  const auto node = all_presets().front();
-  const auto app = apps::make_churn();  // built to shift its hot set
-  const auto run = profiled_run(app, node);
-  const AggregateResult batch =
-      analysis::aggregate_trace(*run.trace, *run.sites);
-
-  // A machine-sized budget hosts every phase's hot set at once, so no
-  // schedule migrates. Tighten the fast tier until consecutive phases pick
-  // different working sets — that is the regime the hook exists for.
-  std::uint64_t total_bytes = 0;
-  for (const auto& o : batch.objects) total_bytes += o.max_size_bytes;
-  advisor::PlacementSchedule full;
-  for (double frac : {0.5, 0.35, 0.25, 0.15, 0.1}) {
-    const auto budget =
-        static_cast<std::uint64_t>(static_cast<double>(total_bytes) * frac);
-    const advisor::PhaseAdvisor tight(
-        advisor::MemorySpec::two_tier(budget, 64ull << 30),
-        advisor::Options{});
-    full = tight.advise(batch.phases);
-    if (full.migration_bytes_per_cycle() > 0) break;
-  }
-  ASSERT_GT(full.phases.size(), 1u);
-  ASSERT_GT(full.migration_bytes_per_cycle(), 0u)
-      << "precondition: the full schedule must actually migrate";
-
-  advisor::PlacementSchedule partial;
-  partial.phases.push_back(full.phases.front());
-  advisor::compute_migrations(partial);
-
-  engine::RunOptions opts;
-  opts.condition = engine::Condition::kDynamic;
-  opts.schedule = &partial;
-  opts.node = node;
-  opts.advisor_hook = [&](const std::string&, std::uint64_t iteration)
-      -> const advisor::PlacementSchedule* {
-    // The "advisor" converges after the first iteration.
-    return iteration >= 1 ? &full : nullptr;
-  };
-  const engine::RunResult got = engine::run_app(app, opts);
-  EXPECT_GT(got.fom, 0.0);
-  // Once the full schedule was adopted, phase transitions migrate again.
-  EXPECT_GT(got.migration_count, 0u);
-  EXPECT_GT(got.migration_bytes, 0u);
-}
-
-TEST(AdvisorHook, InPlaceMutationWithGenerationBumpIsAdopted) {
-  // An IncrementalAdvisor refreshes by rewriting its single schedule object
-  // and bumping PlacementSchedule::generation — the hook returns the same
-  // pointer on every consultation. The engine must detect the refresh by
-  // generation (pointer identity never changes, and the mutation can
-  // reallocate the phases storage the previously applied placement lived
-  // in) and behave bit-identically to a hook that swaps between two stable
-  // schedule objects.
-  const auto node = all_presets().front();
-  const auto app = apps::make_churn();
-  const auto run = profiled_run(app, node);
-  const AggregateResult batch =
-      analysis::aggregate_trace(*run.trace, *run.sites);
-
-  std::uint64_t total_bytes = 0;
-  for (const auto& o : batch.objects) total_bytes += o.max_size_bytes;
-  advisor::PlacementSchedule full;
-  for (double frac : {0.5, 0.35, 0.25, 0.15, 0.1}) {
-    const auto budget =
-        static_cast<std::uint64_t>(static_cast<double>(total_bytes) * frac);
-    const advisor::PhaseAdvisor tight(
-        advisor::MemorySpec::two_tier(budget, 64ull << 30),
-        advisor::Options{});
-    full = tight.advise(batch.phases);
-    if (full.migration_bytes_per_cycle() > 0) break;
-  }
-  ASSERT_GT(full.phases.size(), 1u);
-  ASSERT_GT(full.migration_bytes_per_cycle(), 0u)
-      << "precondition: the full schedule must actually migrate";
-
-  advisor::PlacementSchedule partial;
-  partial.phases.push_back(full.phases.front());
-  advisor::compute_migrations(partial);
-
-  engine::RunOptions opts;
-  opts.condition = engine::Condition::kDynamic;
-  opts.node = node;
-
-  // Reference: a double-buffered hook swapping between two stable objects.
-  engine::RunOptions swap = opts;
-  swap.schedule = &partial;
-  swap.advisor_hook = [&](const std::string&, std::uint64_t iteration)
-      -> const advisor::PlacementSchedule* {
-    return iteration >= 1 ? &full : nullptr;
-  };
-  const engine::RunResult reference = engine::run_app(app, swap);
-  ASSERT_GT(reference.migration_count, 0u);
-
-  // Same answers, served by mutating ONE object in place.
-  advisor::PlacementSchedule live = partial;
-  engine::RunOptions inplace = opts;
-  inplace.schedule = &live;
-  inplace.advisor_hook = [&](const std::string&, std::uint64_t iteration)
-      -> const advisor::PlacementSchedule* {
-    if (iteration >= 1 && live.phases.size() != full.phases.size()) {
-      live.phases = full.phases;  // reallocates the phases storage
-      live.migrations = full.migrations;
-      ++live.generation;  // the contract: bump on every content change
-    }
-    return &live;  // same pointer, every consultation
-  };
-  const engine::RunResult got = engine::run_app(app, inplace);
-  EXPECT_EQ(reference.fom, got.fom);
-  EXPECT_EQ(reference.time_s, got.time_s);
-  EXPECT_EQ(reference.llc_misses, got.llc_misses);
-  EXPECT_EQ(reference.migration_bytes, got.migration_bytes);
-  EXPECT_EQ(reference.migration_count, got.migration_count);
 }
 
 }  // namespace
