@@ -19,7 +19,6 @@ void ObjectRegistry::on_alloc(Address addr, std::uint64_t size, SiteId site) {
                     "allocation overlaps a live object");
   }
   objects_[addr] = LiveObject{addr, size, site};
-  live_bytes_ += size;
 }
 
 std::optional<LiveObject> ObjectRegistry::on_free(Address addr) {
@@ -27,7 +26,6 @@ std::optional<LiveObject> ObjectRegistry::on_free(Address addr) {
   if (it == objects_.end()) return std::nullopt;
   const LiveObject obj = it->second;
   objects_.erase(it);
-  live_bytes_ -= obj.size;
   return obj;
 }
 
@@ -43,7 +41,6 @@ std::optional<LiveObject> ObjectRegistry::lookup(Address addr) const {
 
 void ObjectRegistry::clear() {
   objects_.clear();
-  live_bytes_ = 0;
 }
 
 }  // namespace hmem::profiler

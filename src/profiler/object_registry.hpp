@@ -40,13 +40,11 @@ class ObjectRegistry {
   std::optional<LiveObject> lookup(Address addr) const;
 
   std::size_t live_count() const { return objects_.size(); }
-  std::uint64_t live_bytes() const { return live_bytes_; }
 
   void clear();
 
  private:
   std::map<Address, LiveObject> objects_;  ///< keyed by base address
-  std::uint64_t live_bytes_ = 0;
 };
 
 }  // namespace hmem::profiler

@@ -4,12 +4,12 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/alias.hpp"
 #include "common/config.hpp"
 #include "common/csv.hpp"
 #include "common/prng.hpp"
-#include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
 
@@ -61,64 +61,6 @@ TEST(Prng, UniformIsInUnitInterval) {
     sum += u;
   }
   EXPECT_NEAR(sum / 10000, 0.5, 0.02);
-}
-
-// --------------------------------------------------------------- stats ----
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats all, left, right;
-  Xoshiro256 rng(5);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.uniform() * 100;
-    all.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(Percentile, EdgesAndInterpolation) {
-  std::vector<double> v{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 10);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 40);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 25);
-  EXPECT_DOUBLE_EQ(percentile({}, 50), 0);
-  EXPECT_DOUBLE_EQ(percentile({7}, 99), 7);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0, 10, 5);
-  h.add(-1);   // clamps to bin 0
-  h.add(0.5);
-  h.add(9.99);
-  h.add(42);   // clamps to last bin
-  EXPECT_DOUBLE_EQ(h.count(0), 2);
-  EXPECT_DOUBLE_EQ(h.count(4), 2);
-  EXPECT_DOUBLE_EQ(h.total(), 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4);
 }
 
 // ----------------------------------------------------------------- csv ----
