@@ -1,10 +1,8 @@
 // Incremental-advisor refresh latency: how long one IncrementalAdvisor
-// re-solve takes while a recorded trace streams in, against the budget
-// that matters — the mean interval between the app's phase boundaries.
-// A refresh far cheaper than a phase means the advisor's answer is always
-// ready before the engine asks again (the hmem_advise --stream /
-// RunOptions::advisor_hook serving pattern); a refresh comparable to a
-// phase would make mid-run advice arrive too late to act on.
+// re-solve takes while a recorded trace streams in (the hmem_advise
+// --stream path), against the mean interval between the app's phase
+// boundaries. The margin between the two is how many refreshes the
+// streamed advisor could afford per phase of the run it follows.
 //
 // Per app: a profiled run records the trace once, the incremental schedule
 // is first checked byte-identical to the batch PhaseAdvisor (a number for

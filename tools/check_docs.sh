@@ -3,9 +3,9 @@
 # repo root):
 #   1. every relative markdown link in README.md / docs/*.md resolves to
 #      an existing file or directory;
-#   2. every CLI flag the hmem_* tools (and the resumable fig4 sweep
-#      bench) accept appears in docs/TOOLS.md, so the reference cannot
-#      silently drift from the argv parsers.
+#   2. every CLI flag the hmem_* tools (and bench_fig4) accept appears in
+#      docs/TOOLS.md, so the reference cannot silently drift from the
+#      argv parsers.
 # Plain grep/sed — no dependencies beyond POSIX sh.
 set -u
 
@@ -35,7 +35,7 @@ done
 # ...); every such literal must be mentioned in docs/TOOLS.md.
 flags=$(grep -ohE '"--[a-z-]+"' tools/hmem_profile.cpp tools/hmem_advise.cpp \
           tools/hmem_run.cpp tools/hmem_sweep.cpp tools/hmem_workload.cpp \
-          bench/fig4_placement_dynamic.cpp | tr -d '"' | sort -u)
+          bench/fig4.cpp | tr -d '"' | sort -u)
 for flag in $flags; do
   if ! grep -q -- "$flag" docs/TOOLS.md; then
     echo "UNDOCUMENTED FLAG: $flag (from tools/hmem_*.cpp) missing in docs/TOOLS.md"
