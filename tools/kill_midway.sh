@@ -3,10 +3,10 @@
 #
 #   tools/kill_midway.sh <store> <command> [args...]
 #
-# Starts the command, waits until <store> holds at least MIN_RECORDS
-# finished cells (default 5), then sends SIGKILL. Exits non-zero when the
-# command finished before the kill landed, so the resume that follows is
-# guaranteed both stored cells to load and cells left to compute.
+# Starts the command, waits until <store> holds at least five finished
+# cells, then sends SIGKILL. Exits non-zero when the command finished
+# before the kill landed, so the resume that follows is guaranteed both
+# stored cells to load and cells left to compute.
 set -u
 
 if [ "$#" -lt 2 ]; then
@@ -15,7 +15,6 @@ if [ "$#" -lt 2 ]; then
 fi
 store=$1
 shift
-min_records=${MIN_RECORDS:-5}
 
 # A finished but not yet reaped child is a zombie: kill -0 still succeeds.
 running() {
@@ -24,7 +23,7 @@ running() {
 
 "$@" &
 pid=$!
-while [ "$(cat "$store" 2>/dev/null | wc -l)" -lt "$min_records" ]; do
+while [ "$(cat "$store" 2>/dev/null | wc -l)" -lt 5 ]; do
   running "$pid" || break
   sleep 0.05
 done
