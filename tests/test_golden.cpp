@@ -9,6 +9,14 @@
 //    apps × four presets, one DDR baseline cell per (app, machine) plus one
 //    static-vs-dynamic cell per budget. One line per cell: the store key and
 //    the %.17g store value, so the comparison has no tolerance.
+//  * merged_advise_<app>.txt — churn and transient recorded at 8 ranks on
+//    knl as `hmem_profile --ranks 8 --format binary` writes them, read back
+//    through hmem_advise's salvage front (RecoveringTraceReader inside
+//    OffsetTraceReader, k-way merged with drop_failed_inputs) and advised
+//    as `hmem_advise ... 96M --machine knl --per-phase --csv` would: the
+//    aggregate totals, the per-object CSV (density at %.17g), every phase
+//    slice and the schedule report. Phase slices depend on how the ranks'
+//    phase markers interleave, so these pin the merge order event for event.
 //
 // On a mismatch the test writes what it computed next to the test binary
 // and prints the command that would accept it. A golden only changes with a
@@ -17,15 +25,26 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "advisor/phase_advisor.hpp"
+#include "advisor/schedule_report.hpp"
+#include "analysis/aggregator.hpp"
 #include "apps/workloads.hpp"
+#include "engine/execution.hpp"
+#include "engine/pipeline.hpp"
 #include "engine/sweep.hpp"
 #include "memsim/machine.hpp"
+#include "trace/format.hpp"
+#include "trace/merge.hpp"
+#include "trace/salvage.hpp"
+#include "trace/visitor.hpp"
 
 namespace {
 
@@ -113,6 +132,110 @@ TEST(Golden, DynamicSweepSmokeGridOverAllPresets) {
     actual += '\n';
   }
   expect_golden("sweep_dynamic_smoke.txt", actual);
+}
+
+/// One object table: `objects_to_csv`'s columns with the density at %.17g.
+void append_objects(std::string& out,
+                    const std::vector<advisor::ObjectInfo>& objects) {
+  out += "name,site,dynamic,max_size_bytes,llc_misses,misses_per_kib\n";
+  for (const advisor::ObjectInfo& obj : objects) {
+    const double per_kib =
+        obj.max_size_bytes > 0
+            ? static_cast<double>(obj.llc_misses) * 1024.0 /
+                  static_cast<double>(obj.max_size_bytes)
+            : 0.0;
+    char density[32];
+    std::snprintf(density, sizeof(density), "%.17g", per_kib);
+    out += obj.name + ',' + std::to_string(obj.site) + ',' +
+           (obj.is_dynamic ? '1' : '0') + ',' +
+           std::to_string(obj.max_size_bytes) + ',' +
+           std::to_string(obj.llc_misses) + ',' + density + '\n';
+  }
+}
+
+/// Records `app_name` at 8 ranks on knl (binary shards kept in memory),
+/// merges them through the hmem_advise salvage front and renders the
+/// aggregate plus the 96M per-phase schedule.
+std::string merged_advise(const std::string& app_name) {
+  constexpr int kRanks = 8;
+  apps::AppSpec app = apps::app_by_name(app_name);
+  app.ranks = kRanks;
+  std::string error;
+  const memsim::MachineConfig node =
+      memsim::load_machine_config("knl", &error).value();
+
+  std::vector<std::string> shards;
+  for (int r = 0; r < kRanks; ++r) {
+    callstack::SiteDb sites;
+    std::ostringstream out;
+    const auto writer =
+        trace::make_trace_writer(out, sites, trace::TraceFormat::kBinary);
+    engine::RunOptions opts;
+    opts.profile = true;
+    opts.node = node;
+    opts.seed = 42 + static_cast<std::uint64_t>(r) * engine::kRankSeedStride;
+    opts.sites = &sites;
+    opts.trace_sink = writer.get();
+    engine::run_app(app, opts);
+    writer->finish();
+    shards.push_back(std::move(out).str());
+  }
+
+  callstack::SiteDb sites;
+  trace::SalvageReport report;
+  std::vector<std::unique_ptr<std::istringstream>> streams;
+  std::vector<std::unique_ptr<trace::TraceReader>> readers;
+  trace::MergeOptions merge;
+  merge.drop_failed_inputs = true;
+  merge.report = &report;
+  for (std::size_t r = 0; r < shards.size(); ++r) {
+    streams.push_back(std::make_unique<std::istringstream>(shards[r]));
+    trace::ReaderOptions options;
+    options.salvage = true;
+    options.report = &report;
+    options.source = app_name + ".trace.rank" + std::to_string(r);
+    options.shard = r;
+    merge.labels.push_back(options.source);
+    readers.push_back(std::make_unique<trace::OffsetTraceReader>(
+        std::make_unique<trace::RecoveringTraceReader>(*streams.back(), sites,
+                                                       options),
+        static_cast<trace::Address>(r) * trace::kRankAddressStride));
+  }
+  trace::MergeTraceReader merged(std::move(readers), std::move(merge));
+  analysis::AggregateVisitor aggregate(sites);
+  const std::size_t events = trace::pump(merged, aggregate);
+  const analysis::AggregateResult result = aggregate.finish();
+  EXPECT_TRUE(report.clean()) << report.summary();
+
+  std::string out = "# " + app_name + ", " + std::to_string(kRanks) +
+                    " ranks on knl, merged through the salvage front\n";
+  out += "events = " + std::to_string(events) + '\n';
+  out += "total_samples = " + std::to_string(result.total_samples) + '\n';
+  out += "total_weighted_misses = " +
+         std::to_string(result.total_weighted_misses) + '\n';
+  out += "unattributed_samples = " +
+         std::to_string(result.unattributed_samples) + '\n';
+  out += "unattributed_misses = " +
+         std::to_string(result.unattributed_misses) + '\n';
+  out += "[objects]\n";
+  append_objects(out, result.objects);
+  for (const advisor::PhaseObjects& phase : result.phases) {
+    out += "[phase objects " + phase.name + "]\n";
+    append_objects(out, phase.objects);
+  }
+  const advisor::MemorySpec spec =
+      engine::machine_memory_spec(node, 96ULL << 20, /*ranks=*/1);
+  out += advisor::write_schedule_report(
+      advisor::PhaseAdvisor(spec, advisor::Options{}).advise(result.phases));
+  return out;
+}
+
+TEST(Golden, MergedAdviseChurnAtEightRanks) {
+  expect_golden("merged_advise_churn.txt", merged_advise("churn"));
+}
+
+TEST(Golden, MergedAdviseTransientAtEightRanks) {
+  expect_golden("merged_advise_transient.txt", merged_advise("transient"));
 }
 
 }  // namespace
