@@ -27,46 +27,42 @@ MergeTraceReader::MergeTraceReader(
 
 MergeTraceReader::MergeTraceReader(
     std::vector<std::unique_ptr<TraceReader>> inputs, MergeOptions options)
-    : inputs_(std::move(inputs)), options_(std::move(options)) {
+    : inputs_(std::move(inputs)),
+      pending_(inputs_.size()),
+      options_(std::move(options)) {
   heap_.reserve(inputs_.size());
   for (std::size_t i = 0; i < inputs_.size(); ++i) refill(i);
   std::make_heap(heap_.begin(), heap_.end(), heap_after);
 }
 
 bool MergeTraceReader::refill(std::size_t source) {
-  Head head;
-  head.source = source;
-  if (options_.drop_failed_inputs) {
-    try {
-      if (!inputs_[source]->next(head.event)) return false;
-    } catch (const std::exception& e) {
-      // The shard died mid-stream: its remaining events are gone, but the
-      // other inputs still merge — a degraded aggregate beats no aggregate.
-      const std::string label = source < options_.labels.size()
-                                    ? options_.labels[source]
-                                    : "input " + std::to_string(source);
-      log_warn("trace merge: dropping " + label + ": " + e.what());
-      if (options_.report != nullptr) {
-        options_.report->add_incident(e.what(), label, source);
-        ++options_.report->shards_dropped;
-      }
-      return false;
+  try {
+    if (!inputs_[source]->next(pending_[source])) return false;  // exhausted
+  } catch (const std::exception& e) {
+    if (!options_.drop_failed_inputs) throw;
+    // The shard died mid-stream: its remaining events are gone, but the
+    // other inputs still merge — a degraded aggregate beats no aggregate.
+    const std::string label = source < options_.labels.size()
+                                  ? options_.labels[source]
+                                  : "input " + std::to_string(source);
+    log_warn("trace merge: dropping " + label + ": " + e.what());
+    if (options_.report != nullptr) {
+      options_.report->add_incident(e.what(), label, source);
+      ++options_.report->shards_dropped;
     }
-  } else {
-    if (!inputs_[source]->next(head.event)) return false;  // input exhausted
+    return false;
   }
-  head.time_ns = event_time_ns(head.event);
-  heap_.push_back(std::move(head));
+  heap_.push_back(Key{event_time_ns(pending_[source]), source});
   return true;
 }
 
 bool MergeTraceReader::next(Event& out) {
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), heap_after);
-  Head head = std::move(heap_.back());
+  const std::size_t source = heap_.back().source;
   heap_.pop_back();
-  out = std::move(head.event);
-  if (refill(head.source))
+  out = std::move(pending_[source]);
+  if (refill(source))
     std::push_heap(heap_.begin(), heap_.end(), heap_after);
   return true;
 }

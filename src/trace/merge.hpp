@@ -81,23 +81,27 @@ class MergeTraceReader final : public TraceReader {
   bool next(Event& out) override;
 
  private:
-  struct Head {
-    double time_ns = 0;
-    std::size_t source = 0;
-    Event event;
+  /// The time of input `source`'s pending event: the heap moves these
+  /// 16-byte keys, never the events.
+  struct Key {
+    double time_ns;
+    std::size_t source;
   };
 
   /// Min-heap ordering on (time, source index) via std::push_heap's
   /// max-heap convention.
-  static bool heap_after(const Head& a, const Head& b) {
+  static bool heap_after(const Key& a, const Key& b) {
     if (a.time_ns != b.time_ns) return a.time_ns > b.time_ns;
     return a.source > b.source;
   }
 
+  /// Decodes input `source`'s next event into its slot and pushes its key;
+  /// false when the input is exhausted (or died, under drop_failed_inputs).
   bool refill(std::size_t source);
 
   std::vector<std::unique_ptr<TraceReader>> inputs_;
-  std::vector<Head> heap_;
+  std::vector<Event> pending_;  ///< one slot per input: its next event
+  std::vector<Key> heap_;       ///< one key per input with a pending event
   MergeOptions options_;
 };
 
