@@ -9,7 +9,8 @@
 //    binary shard costs exactly that chunk's events, the SalvageReport
 //    says so, and --strict (the library default) throws a FormatError
 //    naming the file and chunk;
-//  * the k-way merge dropping dead shards instead of dying with them;
+//  * the k-way merge dropping dead shards instead of dying with them,
+//    keeping exactly the events a shard delivered before it died;
 //  * crash-safe outputs — AtomicFile commit/abort semantics and the
 //    SweepStore's append/fsync/torn-tail-truncate resume contract;
 //  * the tools' exit-code convention (0 ok, 2 usage/config, 3 data/IO),
@@ -346,6 +347,82 @@ TEST_F(FaultsTest, MergeDropsDeadShardsAndKeepsGoing) {
   EXPECT_EQ(report.shards_dropped, 1u);
   ASSERT_EQ(report.incidents_total, 1u);
   EXPECT_EQ(report.incidents[0].file, "bad.bin");
+}
+
+/// Passes `inner` through until its (k+1)-th next(), which throws: a shard
+/// that dies mid-stream after delivering exactly k events.
+class DiesAfterReader final : public trace::TraceReader {
+ public:
+  DiesAfterReader(std::unique_ptr<trace::TraceReader> inner, std::size_t k)
+      : inner_(std::move(inner)), k_(k) {}
+
+  bool next(trace::Event& out) override {
+    if (calls_++ == k_) throw FormatError("shard died mid-stream");
+    return inner_->next(out);
+  }
+
+ private:
+  std::unique_ptr<trace::TraceReader> inner_;
+  std::size_t k_;
+  std::size_t calls_ = 0;
+};
+
+TEST_F(FaultsTest, MergeKeepsTheEventsADyingShardDeliveredInOrder) {
+  // Three shards with timestamps that tie across shards; the middle one
+  // dies on its (k+1)-th read. The merge must yield the other shards plus
+  // exactly that shard's first k events, in (time, input index) order.
+  std::vector<trace::TraceBuffer> shards(3);
+  for (std::size_t r = 0; r < shards.size(); ++r) {
+    for (std::size_t e = 0; e < 40; ++e) {
+      const double t = static_cast<double>((e * (r + 2)) / 3);
+      if (e % 5 == 0) {
+        shards[r].add(trace::PhaseEvent{t, "phase_name_held_on_the_heap",
+                                        e % 10 == 0});
+      } else {
+        shards[r].add(trace::SampleEvent{t, 0x1000 * (r + 1) + e, false, 1});
+      }
+    }
+  }
+  for (const std::size_t k : {std::size_t{1}, std::size_t{17},
+                              std::size_t{39}}) {
+    std::vector<trace::Event> expected;
+    for (std::size_t r = 0; r < shards.size(); ++r) {
+      const auto& events = shards[r].events();
+      expected.insert(expected.end(), events.begin(),
+                      events.begin() + static_cast<std::ptrdiff_t>(
+                                           r == 1 ? k : events.size()));
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const trace::Event& a, const trace::Event& b) {
+                       return trace::event_time_ns(a) <
+                              trace::event_time_ns(b);
+                     });
+
+    std::vector<std::unique_ptr<trace::TraceReader>> inputs;
+    inputs.push_back(std::make_unique<trace::BufferTraceReader>(shards[0]));
+    inputs.push_back(std::make_unique<DiesAfterReader>(
+        std::make_unique<trace::BufferTraceReader>(shards[1]), k));
+    inputs.push_back(std::make_unique<trace::BufferTraceReader>(shards[2]));
+    trace::SalvageReport report;
+    trace::MergeOptions options;
+    options.drop_failed_inputs = true;
+    options.report = &report;
+    options.labels = {"rank0.bin", "rank1.bin", "rank2.bin"};
+    trace::MergeTraceReader merge(std::move(inputs), std::move(options));
+
+    trace::Event event;
+    std::size_t n = 0;
+    while (merge.next(event)) {
+      ASSERT_LT(n, expected.size()) << "k " << k;
+      ASSERT_TRUE(event == expected[n]) << "k " << k << " event " << n;
+      ++n;
+    }
+    EXPECT_EQ(n, expected.size()) << "k " << k;
+    EXPECT_EQ(report.shards_dropped, 1u) << "k " << k;
+    ASSERT_EQ(report.incidents_total, 1u) << "k " << k;
+    EXPECT_EQ(report.incidents[0].file, "rank1.bin");
+    EXPECT_EQ(report.incidents[0].shard, std::optional<std::size_t>{1});
+  }
 }
 
 TEST_F(FaultsTest, ReplayFrontRefusesAllDeadShards) {

@@ -1,4 +1,4 @@
-// Seeded deterministic property/fuzz harness. Three properties:
+// Seeded deterministic property/fuzz harness. Seven properties:
 //
 //   1. Random INI app configs through parse -> validate -> canonical
 //      round-trip: every input either yields a valid spec or throws a clean
@@ -31,6 +31,11 @@
 //      IncrementalAggregator's snapshot after the first k events equals a
 //      fresh batch AggregateVisitor fed the same k events then finished —
 //      every field, phase slices included.
+//   7. Merge order: random shards of all five event kinds, with heap-held
+//      (longer than the small-string buffer) phase and counter names and
+//      many timestamps equal across shards, k-way merge to exactly the
+//      std::stable_sort by time of the shards concatenated in input order —
+//      time first, ties to the lower input index, event for event.
 //
 // Every property runs HMEM_FUZZ_ITERS iterations (default 400; CI sets 500
 // per property for >= 1000 total), seeded per iteration — a failure report
@@ -902,6 +907,76 @@ TEST(Fuzz, IncrementalPrefixMatchesBatchOnMergedMultiRankStreams) {
     while (merged.next(event)) events.push_back(event);
     check_prefix_property(events, sites, rng,
                           "merged iter " + std::to_string(i));
+  }
+}
+
+// ----------------------------------------------- 7. merge order ---------
+
+TEST(Fuzz, MergeEqualsStableSortOfConcatenatedShards) {
+  // Names longer than any small-string buffer, so every move of a phase or
+  // counter event moves a heap allocation the sanitizers can see.
+  const std::string kNames[] = {"phase_name_held_on_the_heap_a",
+                                "phase_name_held_on_the_heap_b",
+                                "counter_name_held_on_the_heap"};
+  const int iters = fuzz_iters();
+  for (int i = 0; i < iters; ++i) {
+    Xoshiro256 rng(0x3E46EULL * 65537 + static_cast<std::uint64_t>(i));
+    std::vector<trace::TraceBuffer> shards(1 + rng.below(6));
+    std::vector<trace::Event> expected;
+    for (trace::TraceBuffer& shard : shards) {
+      const std::size_t events = rng.below(80);  // empty shards included
+      // Whole-nanosecond steps of 0..2 from a small origin: equal
+      // timestamps within and across shards are the common case.
+      double t = static_cast<double>(rng.below(4));
+      for (std::size_t e = 0; e < events; ++e) {
+        t += static_cast<double>(rng.below(3));
+        const trace::Address addr = 0x1000 * (1 + rng.below(64));
+        switch (rng.below(5)) {
+          case 0:
+            shard.add(trace::AllocEvent{
+                t, static_cast<callstack::SiteId>(rng.below(8)), addr,
+                4096 * (1 + rng.below(4))});
+            break;
+          case 1:
+            shard.add(trace::FreeEvent{t, addr});
+            break;
+          case 2:
+            shard.add(trace::SampleEvent{t, addr + rng.below(4096),
+                                         rng.below(2) == 0,
+                                         1 + rng.below(8)});
+            break;
+          case 3:
+            shard.add(trace::PhaseEvent{t, kNames[rng.below(2)],
+                                        rng.below(2) == 0});
+            break;
+          default:
+            shard.add(trace::CounterEvent{
+                t, kNames[rng.below(3)], static_cast<double>(rng.next())});
+            break;
+        }
+      }
+      expected.insert(expected.end(), shard.events().begin(),
+                      shard.events().end());
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const trace::Event& a, const trace::Event& b) {
+                       return trace::event_time_ns(a) <
+                              trace::event_time_ns(b);
+                     });
+
+    std::vector<std::unique_ptr<trace::TraceReader>> inputs;
+    for (const trace::TraceBuffer& shard : shards) {
+      inputs.push_back(std::make_unique<trace::BufferTraceReader>(shard));
+    }
+    trace::MergeTraceReader merged(std::move(inputs));
+    trace::Event event;
+    std::size_t n = 0;
+    while (merged.next(event)) {
+      ASSERT_LT(n, expected.size()) << "iter " << i;
+      ASSERT_TRUE(event == expected[n]) << "iter " << i << " event " << n;
+      ++n;
+    }
+    ASSERT_EQ(n, expected.size()) << "iter " << i;
   }
 }
 
