@@ -339,9 +339,12 @@ std::vector<SweepOutcome> SweepEngine::run(SweepStore* store, bool resume) {
   // Ordered commit: a finished cell's record is appended only once every
   // earlier shard cell has finished (resumed cells count as flushed).
   // Store order is therefore pure enumeration order regardless of --jobs,
-  // at the cost of buffering at most the in-flight window of values.
+  // at the cost of buffering at most the in-flight window of values. The
+  // first failed put ends the run: no task starts or commits after it, so
+  // the stored prefix does not depend on --jobs either.
   std::mutex commit_mutex;
   std::size_t commit_pos = 0;
+  bool commit_failed = false;
   std::vector<std::string> values(cells_.size());
   std::vector<char> finished(cells_.size(), 0);
   for (const std::size_t idx : shard_cells) {
@@ -351,6 +354,10 @@ std::vector<SweepOutcome> SweepEngine::run(SweepStore* store, bool resume) {
   std::size_t arena_reserved = 0;
 
   parallel_for(spec_.jobs, work.size(), [&](std::size_t w) {
+    {
+      std::lock_guard<std::mutex> lock(commit_mutex);
+      if (commit_failed) return;
+    }
     const std::size_t idx = work[w];
     // One arena per worker thread, reset between cells: every chunk the
     // biggest cell so far forced is reused by all later cells.
@@ -365,12 +372,17 @@ std::vector<SweepOutcome> SweepEngine::run(SweepStore* store, bool resume) {
     arena_reserved = std::max(arena_reserved, arena.reserved_bytes());
     values[idx] = std::move(value);
     finished[idx] = 1;
-    if (store != nullptr) {
+    if (store != nullptr && !commit_failed) {
       while (commit_pos < shard_cells.size() &&
              finished[shard_cells[commit_pos]] != 0) {
         const std::size_t c = shard_cells[commit_pos];
         if (!outcomes[c].resumed) {
-          store->put(sweep_cell_key(spec_, cells_[c]), values[c]);
+          try {
+            store->put(sweep_cell_key(spec_, cells_[c]), values[c]);
+          } catch (...) {
+            commit_failed = true;
+            throw;
+          }
         }
         ++commit_pos;
       }

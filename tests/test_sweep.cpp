@@ -11,6 +11,8 @@
 //  * sharding — disjoint/complete cell partition, and a 2-shard merged
 //    store byte-identical to the unsharded store, including after a torn
 //    shard tail is resumed;
+//  * failed commits — a put that throws stops the sweep at the same cell
+//    for any --jobs, and a resume computes the rest;
 //  * dynamic cells — equal to the run_pipeline(per_phase) reference, so
 //    the rebased dynamic bench cannot drift from the pipeline semantics.
 #include <gtest/gtest.h>
@@ -25,6 +27,8 @@
 #include "analysis/aggregator.hpp"
 #include "apps/workloads.hpp"
 #include "common/arena.hpp"
+#include "common/error.hpp"
+#include "common/fault.hpp"
 #include "common/units.hpp"
 #include "engine/pipeline.hpp"
 #include "engine/sweep.hpp"
@@ -375,6 +379,41 @@ TEST(Sweep, ShardedStoresMergeByteIdenticalToUnsharded) {
   for (const auto& p : {gold_path, s1_path, s2_path, merged_path}) {
     std::remove(p.c_str());
   }
+}
+
+TEST(Sweep, FailedPutStopsTheStoreAtTheSameCellForAnyJobs) {
+  // The 4th put throws an injected io_write fault. No record may land after
+  // it, so the serial and the 2-worker run keep the same stored prefix, and
+  // a clean resume computes every cell past it.
+  struct Disarm {
+    ~Disarm() { fault::disarm(); }
+  } disarm_on_exit;
+  std::vector<std::size_t> stored;
+  for (const int jobs : {1, 2}) {
+    const std::string path = temp_path("failed_put.dat");
+    engine::SweepSpec spec = small_grid(jobs);
+    spec.apps.resize(1);  // hpcg: 24 cells
+    {
+      engine::SweepStore store(path);
+      engine::SweepEngine engine(spec);
+      ASSERT_EQ(fault::configure("io_write:nth=4"), "");
+      EXPECT_THROW(engine.run(&store), IoError) << "jobs " << jobs;
+      fault::disarm();
+      stored.push_back(store.size());
+    }
+    {
+      engine::SweepStore store(path);
+      EXPECT_EQ(store.size(), stored.back()) << "jobs " << jobs;
+      engine::SweepEngine engine(spec);
+      engine.run(&store, /*resume=*/true);
+      EXPECT_EQ(engine.stats().cells_resumed, stored.back());
+      EXPECT_GT(engine.stats().cells_computed, 0u) << "jobs " << jobs;
+      EXPECT_EQ(store.size(), 24u);
+    }
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(stored[0], 3u);
+  EXPECT_EQ(stored[1], stored[0]);
 }
 
 TEST(Sweep, DynamicCellMatchesRunPipeline) {
