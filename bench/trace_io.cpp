@@ -1,4 +1,5 @@
-// Trace serialization throughput: text (v1) vs binary (v2), write and read.
+// Trace serialization throughput: text (v1) vs binary (v2), write and read,
+// plus the multi-rank merged read.
 //
 // Generates a synthetic profiled-run-shaped event stream (PEBS samples
 // dominate, with periodic phase toggles, counters, and alloc/free churn),
@@ -8,16 +9,27 @@
 // track the trajectory. The binary format's reason to exist is read
 // throughput at production trace volumes: the JSON records the speedup.
 //
+// The `merged` row deals the same stream round-robin into 8 binary shards
+// and reads them back the way hmem_advise does by default: each shard a
+// RecoveringTraceReader inside an OffsetTraceReader, k-way merged with
+// drop_failed_inputs. merge_overhead = binary read_eps / merged read_eps,
+// so 1.0 would be a merge that costs nothing beyond decoding.
+//
 //   usage: bench_trace_io [--smoke] [--events N] [--reps R] [--out file]
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/atomic_file.hpp"
+#include "common/parallel.hpp"
 #include "common/prng.hpp"
 #include "trace/format.hpp"
+#include "trace/merge.hpp"
+#include "trace/salvage.hpp"
 #include "trace/visitor.hpp"
 
 namespace {
@@ -124,6 +136,64 @@ Measurement measure(const callstack::SiteDb& sites,
   return m;
 }
 
+/// Shards of the merged row: hmem_profile --ranks 8.
+constexpr std::size_t kShards = 8;
+
+/// Best-of-`reps` events/second of the merged read of `buf` dealt
+/// round-robin into kShards binary shards.
+double measure_merged(const callstack::SiteDb& sites,
+                      const trace::TraceBuffer& buf, int reps) {
+  std::vector<std::ostringstream> outs(kShards);
+  std::vector<std::unique_ptr<trace::TraceWriter>> writers;
+  for (std::ostringstream& out : outs) {
+    writers.push_back(
+        trace::make_trace_writer(out, sites, trace::TraceFormat::kBinary));
+  }
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    writers[i % kShards]->on_event(buf.events()[i]);
+  }
+  std::vector<std::string> shards;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    writers[s]->finish();
+    shards.push_back(std::move(outs[s]).str());
+  }
+
+  double best_read = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::vector<std::unique_ptr<std::istringstream>> streams;
+    for (const std::string& shard : shards) {
+      streams.push_back(std::make_unique<std::istringstream>(shard));
+    }
+    NullSink sink;
+    callstack::SiteDb read_sites;
+    trace::SalvageReport report;
+    const auto r0 = std::chrono::steady_clock::now();
+    std::vector<std::unique_ptr<trace::TraceReader>> readers;
+    trace::MergeOptions merge;
+    merge.drop_failed_inputs = true;
+    merge.report = &report;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      trace::ReaderOptions options;
+      options.salvage = true;
+      options.report = &report;
+      options.shard = s;
+      readers.push_back(std::make_unique<trace::OffsetTraceReader>(
+          std::make_unique<trace::RecoveringTraceReader>(*streams[s],
+                                                         read_sites, options),
+          static_cast<trace::Address>(s) * trace::kRankAddressStride));
+    }
+    trace::MergeTraceReader merged(std::move(readers), std::move(merge));
+    trace::pump(merged, sink);
+    best_read = std::min(best_read, seconds_since(r0));
+    if (sink.count != buf.size() || !report.clean()) {
+      std::fprintf(stderr, "merged read: %zu of %zu events, %s\n",
+                   sink.count, buf.size(), report.summary().c_str());
+      std::exit(1);
+    }
+  }
+  return static_cast<double>(buf.size()) / best_read;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -155,6 +225,8 @@ int main(int argc, char** argv) {
       measure(sites, buf, trace::TraceFormat::kText, reps);
   const Measurement binary =
       measure(sites, buf, trace::TraceFormat::kBinary, reps);
+  const double merged_read_eps = measure_merged(sites, buf, reps);
+  const double merge_overhead = binary.read_eps / merged_read_eps;
   const double read_speedup = binary.read_eps / text.read_eps;
   const double size_ratio =
       static_cast<double>(text.bytes) / static_cast<double>(binary.bytes);
@@ -169,8 +241,11 @@ int main(int argc, char** argv) {
                 m.read_eps, m.bytes,
                 static_cast<double>(m.bytes) / static_cast<double>(events));
   }
-  std::printf("  binary read speedup: %.2fx, size ratio: %.2fx\n",
-              read_speedup, size_ratio);
+  std::printf("  %-8s %12s %12.0f   (%zu binary shards, salvage front)\n",
+              "merged", "-", merged_read_eps, kShards);
+  std::printf("  binary read speedup: %.2fx, size ratio: %.2fx, "
+              "merge overhead: %.2fx\n",
+              read_speedup, size_ratio, merge_overhead);
 
   char buffer[1024];
   std::snprintf(buffer, sizeof(buffer),
@@ -178,16 +253,21 @@ int main(int argc, char** argv) {
                 "  \"bench\": \"trace_io\",\n"
                 "  \"events\": %zu,\n"
                 "  \"reps\": %d,\n"
+                "  \"shards\": %zu,\n"
+                "  \"cores\": %d,\n"
                 "  \"text\": {\"write_eps\": %.0f, \"read_eps\": %.0f, "
                 "\"bytes\": %zu},\n"
                 "  \"binary\": {\"write_eps\": %.0f, \"read_eps\": %.0f, "
                 "\"bytes\": %zu},\n"
+                "  \"merged\": {\"read_eps\": %.0f},\n"
                 "  \"binary_read_speedup\": %.3f,\n"
-                "  \"binary_size_ratio\": %.3f\n"
+                "  \"binary_size_ratio\": %.3f,\n"
+                "  \"merge_overhead\": %.3f\n"
                 "}\n",
-                events, reps, text.write_eps, text.read_eps, text.bytes,
-                binary.write_eps, binary.read_eps, binary.bytes, read_speedup,
-                size_ratio);
+                events, reps, kShards, hardware_jobs(), text.write_eps,
+                text.read_eps, text.bytes, binary.write_eps, binary.read_eps,
+                binary.bytes, merged_read_eps, read_speedup, size_ratio,
+                merge_overhead);
   std::string error;
   if (!write_file_atomic(out_path, buffer, &error)) {
     std::fprintf(stderr, "cannot write %s: %s\n", out_path, error.c_str());
