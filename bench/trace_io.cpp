@@ -10,9 +10,10 @@
 // throughput at production trace volumes: the JSON records the speedup.
 //
 // The `merged` row deals the same stream round-robin into 8 binary shards
-// and reads them back the way hmem_advise does by default: each shard a
-// RecoveringTraceReader inside an OffsetTraceReader, k-way merged with
-// drop_failed_inputs. merge_overhead = binary read_eps / merged read_eps,
+// and reads them back through hmem_advise's default front
+// (trace::ReplayReader with salvage on: each shard a RecoveringTraceReader
+// inside an OffsetTraceReader, k-way merged with drop_failed_inputs).
+// merge_overhead = binary read_eps / merged read_eps,
 // so 1.0 would be a merge that costs nothing beyond decoding.
 //
 //   usage: bench_trace_io [--smoke] [--events N] [--reps R] [--out file]
@@ -28,8 +29,7 @@
 #include "common/parallel.hpp"
 #include "common/prng.hpp"
 #include "trace/format.hpp"
-#include "trace/merge.hpp"
-#include "trace/salvage.hpp"
+#include "trace/replay.hpp"
 #include "trace/visitor.hpp"
 
 namespace {
@@ -160,31 +160,21 @@ double measure_merged(const callstack::SiteDb& sites,
 
   double best_read = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
-    std::vector<std::unique_ptr<std::istringstream>> streams;
+    std::vector<std::unique_ptr<std::istream>> streams;
+    std::vector<std::string> labels;
     for (const std::string& shard : shards) {
       streams.push_back(std::make_unique<std::istringstream>(shard));
+      labels.push_back("shard " + std::to_string(labels.size()));
     }
     NullSink sink;
-    callstack::SiteDb read_sites;
-    trace::SalvageReport report;
+    trace::ReplayReaderOptions options;
+    options.salvage = true;
     const auto r0 = std::chrono::steady_clock::now();
-    std::vector<std::unique_ptr<trace::TraceReader>> readers;
-    trace::MergeOptions merge;
-    merge.drop_failed_inputs = true;
-    merge.report = &report;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      trace::ReaderOptions options;
-      options.salvage = true;
-      options.report = &report;
-      options.shard = s;
-      readers.push_back(std::make_unique<trace::OffsetTraceReader>(
-          std::make_unique<trace::RecoveringTraceReader>(*streams[s],
-                                                         read_sites, options),
-          static_cast<trace::Address>(s) * trace::kRankAddressStride));
-    }
-    trace::MergeTraceReader merged(std::move(readers), std::move(merge));
-    trace::pump(merged, sink);
+    trace::ReplayReader recording(std::move(streams), std::move(labels),
+                                  options);
+    trace::pump(recording.reader(), sink);
     best_read = std::min(best_read, seconds_since(r0));
+    const trace::SalvageReport& report = recording.salvage_report();
     if (sink.count != buf.size() || !report.clean()) {
       std::fprintf(stderr, "merged read: %zu of %zu events, %s\n",
                    sink.count, buf.size(), report.summary().c_str());

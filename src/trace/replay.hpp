@@ -10,7 +10,7 @@
 // replay_run drives a simulation from it (hmem_run --replay).
 #pragma once
 
-#include <fstream>
+#include <istream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,6 +42,11 @@ class ReplayReader {
   explicit ReplayReader(const std::vector<std::string>& paths);
   ReplayReader(const std::vector<std::string>& paths,
                const ReplayReaderOptions& options);
+  /// Reads shards that are already open (e.g. recorded in memory), through
+  /// the same front; labels[i] names shard i in errors and the report.
+  ReplayReader(std::vector<std::unique_ptr<std::istream>> shards,
+               std::vector<std::string> labels,
+               const ReplayReaderOptions& options);
 
   /// The merged, time-ordered event stream (single pass; not rewindable).
   TraceReader& reader() { return *merged_; }
@@ -57,8 +62,14 @@ class ReplayReader {
   const SalvageReport& salvage_report() const { return report_; }
 
  private:
+  /// Builds the front over `shards`; a null stream is a shard already
+  /// dropped (and recorded) by salvage.
+  void open(std::vector<std::unique_ptr<std::istream>> shards,
+            const std::vector<std::string>& labels,
+            const ReplayReaderOptions& options);
+
   callstack::SiteDb sites_;
-  std::vector<std::unique_ptr<std::ifstream>> files_;
+  std::vector<std::unique_ptr<std::istream>> streams_;
   std::unique_ptr<MergeTraceReader> merged_;
   std::size_t shard_count_ = 0;
   SalvageReport report_;

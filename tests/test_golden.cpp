@@ -11,12 +11,14 @@
 //    the %.17g store value, so the comparison has no tolerance.
 //  * merged_advise_<app>.txt — churn and transient recorded at 8 ranks on
 //    knl as `hmem_profile --ranks 8 --format binary` writes them, read back
-//    through hmem_advise's salvage front (RecoveringTraceReader inside
-//    OffsetTraceReader, k-way merged with drop_failed_inputs) and advised
-//    as `hmem_advise ... 96M --machine knl --per-phase --csv` would: the
-//    aggregate totals, the per-object CSV (density at %.17g), every phase
-//    slice and the schedule report. Phase slices depend on how the ranks'
-//    phase markers interleave, so these pin the merge order event for event.
+//    through hmem_advise's default salvage front (trace::ReplayReader:
+//    RecoveringTraceReader inside OffsetTraceReader, k-way merged with
+//    drop_failed_inputs) and advised as `hmem_advise ... 96M --machine knl
+//    --per-phase --csv` would: the aggregate totals, the per-object CSV
+//    (density at %.17g), every phase slice and the schedule report. Phase
+//    slices depend on how the ranks' phase markers and samples interleave.
+//    Flipping the merge's tie order moves no line of these files; the tie
+//    order is pinned by test_fuzz's merge property instead.
 //
 // On a mismatch the test writes what it computed next to the test binary
 // and prints the command that would accept it. A golden only changes with a
@@ -42,8 +44,7 @@
 #include "engine/sweep.hpp"
 #include "memsim/machine.hpp"
 #include "trace/format.hpp"
-#include "trace/merge.hpp"
-#include "trace/salvage.hpp"
+#include "trace/replay.hpp"
 #include "trace/visitor.hpp"
 
 namespace {
@@ -164,7 +165,9 @@ std::string merged_advise(const std::string& app_name) {
   const memsim::MachineConfig node =
       memsim::load_machine_config("knl", &error).value();
 
-  std::vector<std::string> shards;
+  // Shards in memory, in rank order, labelled as hmem_profile names them.
+  std::vector<std::unique_ptr<std::istream>> shards;
+  std::vector<std::string> labels;
   for (int r = 0; r < kRanks; ++r) {
     callstack::SiteDb sites;
     std::ostringstream out;
@@ -178,34 +181,21 @@ std::string merged_advise(const std::string& app_name) {
     opts.trace_sink = writer.get();
     engine::run_app(app, opts);
     writer->finish();
-    shards.push_back(std::move(out).str());
+    shards.push_back(
+        std::make_unique<std::istringstream>(std::move(out).str()));
+    labels.push_back(app_name + ".trace.rank" + std::to_string(r));
   }
 
-  callstack::SiteDb sites;
-  trace::SalvageReport report;
-  std::vector<std::unique_ptr<std::istringstream>> streams;
-  std::vector<std::unique_ptr<trace::TraceReader>> readers;
-  trace::MergeOptions merge;
-  merge.drop_failed_inputs = true;
-  merge.report = &report;
-  for (std::size_t r = 0; r < shards.size(); ++r) {
-    streams.push_back(std::make_unique<std::istringstream>(shards[r]));
-    trace::ReaderOptions options;
-    options.salvage = true;
-    options.report = &report;
-    options.source = app_name + ".trace.rank" + std::to_string(r);
-    options.shard = r;
-    merge.labels.push_back(options.source);
-    readers.push_back(std::make_unique<trace::OffsetTraceReader>(
-        std::make_unique<trace::RecoveringTraceReader>(*streams.back(), sites,
-                                                       options),
-        static_cast<trace::Address>(r) * trace::kRankAddressStride));
-  }
-  trace::MergeTraceReader merged(std::move(readers), std::move(merge));
-  analysis::AggregateVisitor aggregate(sites);
-  const std::size_t events = trace::pump(merged, aggregate);
+  // hmem_advise's default front: salvage on.
+  trace::ReplayReaderOptions options;
+  options.salvage = true;
+  trace::ReplayReader recording(std::move(shards), std::move(labels),
+                                options);
+  analysis::AggregateVisitor aggregate(recording.sites());
+  const std::size_t events = trace::pump(recording.reader(), aggregate);
   const analysis::AggregateResult result = aggregate.finish();
-  EXPECT_TRUE(report.clean()) << report.summary();
+  EXPECT_TRUE(recording.salvage_report().clean())
+      << recording.salvage_report().summary();
 
   std::string out = "# " + app_name + ", " + std::to_string(kRanks) +
                     " ranks on knl, merged through the salvage front\n";
