@@ -170,8 +170,7 @@ double measure_merged(const callstack::SiteDb& sites,
     trace::ReplayReaderOptions options;
     options.salvage = true;
     const auto r0 = std::chrono::steady_clock::now();
-    trace::ReplayReader recording(std::move(streams), std::move(labels),
-                                  options);
+    trace::ReplayReader recording(std::move(streams), labels, options);
     trace::pump(recording.reader(), sink);
     best_read = std::min(best_read, seconds_since(r0));
     const trace::SalvageReport& report = recording.salvage_report();

@@ -33,7 +33,7 @@ ReplayReader::ReplayReader(const std::vector<std::string>& paths,
 }
 
 ReplayReader::ReplayReader(std::vector<std::unique_ptr<std::istream>> shards,
-                           std::vector<std::string> labels,
+                           const std::vector<std::string>& labels,
                            const ReplayReaderOptions& options) {
   HMEM_ASSERT_MSG(labels.size() == shards.size(), "one label per shard");
   open(std::move(shards), labels, options);

@@ -2,7 +2,7 @@
 //
 // A profiled run leaves one shard per rank on disk (text v1 or chunked
 // binary v2). ReplayReader owns everything needed to read such a recording
-// back as one ordered event stream: the open files, a per-shard format
+// back as one ordered event stream: the open shards, a per-shard format
 // reader (format sniffed independently per shard), per-rank address
 // rebasing by kRankAddressStride so live ranges never collide, a k-way
 // timestamp merge, and the shared SiteDb every shard's sites are
@@ -45,7 +45,7 @@ class ReplayReader {
   /// Reads shards that are already open (e.g. recorded in memory), through
   /// the same front; labels[i] names shard i in errors and the report.
   ReplayReader(std::vector<std::unique_ptr<std::istream>> shards,
-               std::vector<std::string> labels,
+               const std::vector<std::string>& labels,
                const ReplayReaderOptions& options);
 
   /// The merged, time-ordered event stream (single pass; not rewindable).

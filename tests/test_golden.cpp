@@ -189,8 +189,7 @@ std::string merged_advise(const std::string& app_name) {
   // hmem_advise's default front: salvage on.
   trace::ReplayReaderOptions options;
   options.salvage = true;
-  trace::ReplayReader recording(std::move(shards), std::move(labels),
-                                options);
+  trace::ReplayReader recording(std::move(shards), labels, options);
   analysis::AggregateVisitor aggregate(recording.sites());
   const std::size_t events = trace::pump(recording.reader(), aggregate);
   const analysis::AggregateResult result = aggregate.finish();
