@@ -19,6 +19,21 @@
 //    slices depend on how the ranks' phase markers and samples interleave.
 //    Flipping the merge's tie order moves no line of these files; the tie
 //    order is pinned by test_fuzz's merge property instead.
+//  * fig4_knl_smoke.txt — the eight Figure 4 rows on knl at `bench_fig4
+//    --smoke` scale: the profile run, the ddr/numactl/autohbw/cache
+//    baselines and every strategy x budget framework cell, each as the full
+//    RunResult at %.17g (all but `kernel`, the one field kernels may differ
+//    in). The cell FOMs are checked against Fig4Runner, so these are the
+//    rows bench_fig4 prints.
+//  * replay_churn_knl.txt — replay_run of the 8-rank churn recording above
+//    under ddr, numactl, autohbw and framework (the 96M static placement of
+//    the same recording), every RunResult field at %.17g.
+//  * latency_bound.txt — a test-only app whose phase time is bound by the
+//    roofline's latency term (one rank and thread, an LLC-resident object
+//    taking 97% of the accesses, a large random one the rest) under ddr,
+//    numactl and cache on all four presets, so a change to any latency
+//    constant the runs read fails here. The Figure 4 rows and the sweep
+//    grid are bandwidth-bound and would not notice.
 //
 // On a mismatch the test writes what it computed next to the test binary
 // and prints the command that would accept it. A golden only changes with a
@@ -35,12 +50,16 @@
 #include <string>
 #include <vector>
 
+#include "advisor/advisor.hpp"
 #include "advisor/phase_advisor.hpp"
+#include "advisor/placement_report.hpp"
 #include "advisor/schedule_report.hpp"
 #include "analysis/aggregator.hpp"
 #include "apps/workloads.hpp"
 #include "engine/execution.hpp"
+#include "engine/experiment.hpp"
 #include "engine/pipeline.hpp"
+#include "engine/replay.hpp"
 #include "engine/sweep.hpp"
 #include "memsim/machine.hpp"
 #include "trace/format.hpp"
@@ -100,6 +119,78 @@ void expect_golden(const std::string& name, const std::string& actual) {
                 << out.string() << " " << path;
 }
 
+/// One run as a single line: every RunResult number at %.17g behind its
+/// label, tier traffic fastest first, then the interposer's counters. The
+/// `kernel` field is left out: it names the backend, which is the one thing
+/// allowed to differ between HMEM_KERNEL settings.
+std::string format_run(const std::string& label, const engine::RunResult& r) {
+  std::string out = label + " app=" + r.app + " condition=" + r.condition +
+                    " fom_unit=" + r.fom_unit;
+  const auto num = [&out](const char* key, double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    out += ' ';
+    out += key;
+    out += '=';
+    out += buf;
+  };
+  const auto count = [&out](const char* key, std::uint64_t value) {
+    out += ' ';
+    out += key;
+    out += '=';
+    out += std::to_string(value);
+  };
+  num("time_s", r.time_s);
+  num("fom", r.fom);
+  count("fast_hwm", r.fast_hwm_bytes);
+  count("total_hwm", r.total_hwm_bytes);
+  for (const engine::TierTraffic& t : r.tier_traffic) {
+    out += " tier." + t.name + '=' + std::to_string(t.bytes) + '/' +
+           std::to_string(t.migration_bytes);
+  }
+  num("achieved_bw_gbs", r.achieved_bw_gbs);
+  count("migration_bytes", r.migration_bytes);
+  count("migration_count", r.migration_count);
+  num("migration_cost_s", r.migration_cost_s);
+  count("llc_misses", r.llc_misses);
+  count("samples", r.samples);
+  num("monitoring_overhead", r.monitoring_overhead);
+  count("alloc_calls", r.alloc_calls);
+  num("allocs_per_second", r.allocs_per_second);
+  num("interposition_overhead_ns", r.interposition_overhead_ns);
+  if (r.autohbw) {
+    const runtime::AutoHbwStats& a = *r.autohbw;
+    count("intercepted", a.intercepted_allocs);
+    count("size_filtered", a.size_filtered_out);
+    count("cache_hits", a.cache_hits);
+    count("cache_misses", a.cache_misses);
+    count("matched", a.matched);
+    count("promoted", a.promoted);
+    count("budget_rejections", a.budget_rejections);
+    count("migrations", a.migrations);
+    count("migrated_bytes", a.migrated_bytes);
+    count("fast_in_use", a.fast_bytes_in_use);
+    count("fast_hwm_autohbw", a.fast_hwm);
+    count("overflow", a.any_overflow ? 1 : 0);
+    const auto list = [&out](const char* key,
+                             const std::vector<std::uint64_t>& values) {
+      out += ' ';
+      out += key;
+      out += '=';
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        if (i > 0) out += ',';
+        out += std::to_string(values[i]);
+      }
+    };
+    list("tier_in_use", a.tier_bytes_in_use);
+    list("tier_hwm", a.tier_hwm);
+    list("tier_promoted", a.tier_promoted);
+    list("tier_budget_rejections", a.tier_budget_rejections);
+  }
+  out += '\n';
+  return out;
+}
+
 TEST(Golden, DynamicSweepSmokeGridOverAllPresets) {
   // The grid `hmem_sweep --smoke --dynamic --machines
   // knl,spr-hbm,ddr-cxl,hbm-ddr-pmem` builds: default apps, DDR baseline,
@@ -154,49 +245,75 @@ void append_objects(std::string& out,
   }
 }
 
-/// Records `app_name` at 8 ranks on knl (binary shards kept in memory),
-/// merges them through the hmem_advise salvage front and renders the
-/// aggregate plus the 96M per-phase schedule.
-std::string merged_advise(const std::string& app_name) {
-  constexpr int kRanks = 8;
-  apps::AppSpec app = apps::app_by_name(app_name);
-  app.ranks = kRanks;
-  std::string error;
-  const memsim::MachineConfig node =
-      memsim::load_machine_config("knl", &error).value();
+constexpr int kRecordedRanks = 8;
 
-  // Shards in memory, in rank order, labelled as hmem_profile names them.
-  std::vector<std::unique_ptr<std::istream>> shards;
+/// `app_name` recorded at 8 ranks on knl as `hmem_profile --ranks 8
+/// --format binary` writes it: one binary shard per rank, kept in memory.
+struct Recording {
+  std::vector<std::string> shards;
   std::vector<std::string> labels;
-  for (int r = 0; r < kRanks; ++r) {
+
+  /// A fresh read of the shards through hmem_advise's default front
+  /// (salvage on); the merged stream is single-pass.
+  std::unique_ptr<trace::ReplayReader> open() const {
+    std::vector<std::unique_ptr<std::istream>> streams;
+    for (const std::string& shard : shards) {
+      streams.push_back(std::make_unique<std::istringstream>(shard));
+    }
+    trace::ReplayReaderOptions options;
+    options.salvage = true;
+    return std::make_unique<trace::ReplayReader>(std::move(streams), labels,
+                                                 options);
+  }
+};
+
+memsim::MachineConfig knl() {
+  std::string error;
+  return memsim::load_machine_config("knl", &error).value();
+}
+
+Recording record(const std::string& app_name) {
+  apps::AppSpec app = apps::app_by_name(app_name);
+  app.ranks = kRecordedRanks;
+  Recording recording;
+  for (int r = 0; r < kRecordedRanks; ++r) {
     callstack::SiteDb sites;
     std::ostringstream out;
     const auto writer =
         trace::make_trace_writer(out, sites, trace::TraceFormat::kBinary);
     engine::RunOptions opts;
     opts.profile = true;
-    opts.node = node;
+    opts.node = knl();
     opts.seed = 42 + static_cast<std::uint64_t>(r) * engine::kRankSeedStride;
     opts.sites = &sites;
     opts.trace_sink = writer.get();
     engine::run_app(app, opts);
     writer->finish();
-    shards.push_back(
-        std::make_unique<std::istringstream>(std::move(out).str()));
-    labels.push_back(app_name + ".trace.rank" + std::to_string(r));
+    recording.shards.push_back(std::move(out).str());
+    recording.labels.push_back(app_name + ".trace.rank" + std::to_string(r));
   }
+  return recording;
+}
 
-  // hmem_advise's default front: salvage on.
-  trace::ReplayReaderOptions options;
-  options.salvage = true;
-  trace::ReplayReader recording(std::move(shards), labels, options);
-  analysis::AggregateVisitor aggregate(recording.sites());
-  const std::size_t events = trace::pump(recording.reader(), aggregate);
-  const analysis::AggregateResult result = aggregate.finish();
-  EXPECT_TRUE(recording.salvage_report().clean())
-      << recording.salvage_report().summary();
+/// The merged aggregate of a recording, as hmem_advise computes it.
+analysis::AggregateResult aggregate(const Recording& recording,
+                                    std::size_t* events) {
+  const auto reader = recording.open();
+  analysis::AggregateVisitor visitor(reader->sites());
+  *events = trace::pump(reader->reader(), visitor);
+  EXPECT_TRUE(reader->salvage_report().clean())
+      << reader->salvage_report().summary();
+  return visitor.finish();
+}
 
-  std::string out = "# " + app_name + ", " + std::to_string(kRanks) +
+/// Records `app_name` at 8 ranks on knl, merges the shards through the
+/// hmem_advise salvage front and renders the aggregate plus the 96M
+/// per-phase schedule.
+std::string merged_advise(const std::string& app_name) {
+  std::size_t events = 0;
+  const analysis::AggregateResult result = aggregate(record(app_name), &events);
+
+  std::string out = "# " + app_name + ", " + std::to_string(kRecordedRanks) +
                     " ranks on knl, merged through the salvage front\n";
   out += "events = " + std::to_string(events) + '\n';
   out += "total_samples = " + std::to_string(result.total_samples) + '\n';
@@ -213,7 +330,7 @@ std::string merged_advise(const std::string& app_name) {
     append_objects(out, phase.objects);
   }
   const advisor::MemorySpec spec =
-      engine::machine_memory_spec(node, 96ULL << 20, /*ranks=*/1);
+      engine::machine_memory_spec(knl(), 96ULL << 20, /*ranks=*/1);
   out += advisor::write_schedule_report(
       advisor::PhaseAdvisor(spec, advisor::Options{}).advise(result.phases));
   return out;
@@ -225,6 +342,152 @@ TEST(Golden, MergedAdviseChurnAtEightRanks) {
 
 TEST(Golden, MergedAdviseTransientAtEightRanks) {
   expect_golden("merged_advise_transient.txt", merged_advise("transient"));
+}
+
+TEST(Golden, Fig4RowsOnKnlAtSmokeScale) {
+  // bench_fig4 --app <name> --smoke for the paper's eight apps: the flow of
+  // SweepEngine::run_cell, one run_app per cell, so every RunResult field
+  // is visible rather than just the row's FOM and HWM.
+  const memsim::MachineConfig node = knl();
+  const engine::PipelineOptions base;
+  const std::vector<engine::StrategyConfig> strategies =
+      engine::paper_strategies();
+  std::string actual;
+  for (apps::AppSpec app : apps::all_apps()) {
+    app.iterations = std::min<std::uint64_t>(app.iterations, 4);
+    app.accesses_per_iteration =
+        std::min<std::uint64_t>(app.accesses_per_iteration, 6000);
+    const std::vector<std::uint64_t> budgets = engine::default_budgets(app);
+    const engine::Fig4Row row =
+        engine::Fig4Runner(app, base).run(budgets, strategies);
+
+    engine::RunOptions profile;
+    profile.profile = true;
+    profile.seed = base.profile_seed;
+    profile.node = node;
+    const engine::RunResult profiled = engine::run_app(app, profile);
+    actual += format_run(app.name + " profile", profiled);
+    const analysis::AggregateResult report =
+        analysis::aggregate_trace(*profiled.trace, *profiled.sites);
+
+    const std::pair<engine::Condition, const engine::BaselineResult*>
+        baselines[] = {{engine::Condition::kDdr, &row.ddr},
+                       {engine::Condition::kNumactl, &row.numactl},
+                       {engine::Condition::kAutoHbw, &row.autohbw},
+                       {engine::Condition::kCacheMode, &row.cache}};
+    for (const auto& [condition, expected] : baselines) {
+      engine::RunOptions opts;
+      opts.condition = condition;
+      opts.seed = base.production_seed;
+      opts.node = node;
+      const engine::RunResult run = engine::run_app(app, opts);
+      EXPECT_EQ(run.fom, expected->fom) << app.name << ' ' << run.condition;
+      actual += format_run(app.name + ' ' + run.condition, run);
+    }
+    for (const engine::StrategyConfig& strategy : strategies) {
+      for (const std::uint64_t budget : budgets) {
+        const advisor::Placement placement = advisor::read_placement_report(
+            advisor::write_placement_report(
+                advisor::HmemAdvisor(
+                    engine::machine_memory_spec(node, budget, app.ranks),
+                    strategy.options)
+                    .advise(report.objects)));
+        engine::RunOptions opts;
+        opts.condition = engine::Condition::kFramework;
+        opts.placement = &placement;
+        opts.seed = base.production_seed;
+        opts.node = node;
+        const engine::RunResult run = engine::run_app(app, opts);
+        EXPECT_EQ(run.fom, row.cell(strategy.label, budget).fom)
+            << app.name << ' ' << strategy.label << ' ' << budget;
+        actual += format_run(app.name + " framework " + strategy.label + ' ' +
+                                 std::to_string(budget >> 20) + "M",
+                             run);
+      }
+    }
+  }
+  expect_golden("fig4_knl_smoke.txt", actual);
+}
+
+TEST(Golden, ReplayOfChurnAtEightRanks) {
+  // `hmem_run --replay churn.trace.rank* --machine knl --ranks 8 --condition
+  // ddr,numactl,autohbw --placement <96M static placement>`.
+  const Recording recording = record("churn");
+  std::size_t events = 0;
+  const analysis::AggregateResult report = aggregate(recording, &events);
+  const advisor::Placement placement = advisor::read_placement_report(
+      advisor::write_placement_report(
+          advisor::HmemAdvisor(
+              engine::machine_memory_spec(knl(), 96ULL << 20, /*ranks=*/1),
+              advisor::Options{})
+              .advise(report.objects)));
+
+  std::string actual;
+  for (const engine::Condition condition :
+       {engine::Condition::kDdr, engine::Condition::kNumactl,
+        engine::Condition::kAutoHbw, engine::Condition::kFramework}) {
+    engine::ReplayOptions opts;
+    opts.condition = condition;
+    opts.placement = &placement;
+    opts.node = knl();
+    opts.ranks = kRecordedRanks;
+    opts.shards = kRecordedRanks;
+    const auto reader = recording.open();
+    const engine::RunResult run =
+        engine::replay_run(reader->reader(), reader->sites(), opts);
+    actual += format_run(std::string("churn replay ") +
+                             engine::condition_name(condition),
+                         run);
+  }
+  expect_golden("replay_churn_knl.txt", actual);
+}
+
+/// One rank, one thread: 97% of the accesses go to a 256 KiB object that
+/// stays LLC-resident, the rest to a 64 MiB random object. The phase's
+/// memory time is then the summed access latency over the MLP, not the
+/// tier traffic over the bandwidth.
+apps::AppSpec latency_bound_app() {
+  apps::AppSpec app;
+  app.name = "latency-bound";
+  app.fom_unit = "it/s";
+  app.ranks = 1;
+  app.threads_per_rank = 1;
+  app.iterations = 4;
+  app.accesses_per_iteration = 6000;
+  app.objects = {
+      apps::ObjectSpec{.name = "resident",
+                       .size_bytes = 256ULL << 10,
+                       .pattern = apps::AccessPattern::kRandom},
+      apps::ObjectSpec{.name = "far",
+                       .size_bytes = 64ULL << 20,
+                       .pattern = apps::AccessPattern::kRandom},
+  };
+  apps::PhaseSpec phase;
+  phase.name = "main";
+  phase.object_weights = {0.97, 0.03};
+  app.phases = {phase};
+  return app;
+}
+
+TEST(Golden, LatencyBoundAppOnAllPresets) {
+  const apps::AppSpec app = latency_bound_app();
+  std::string actual;
+  for (const char* preset : {"knl", "spr-hbm", "ddr-cxl", "hbm-ddr-pmem"}) {
+    std::string error;
+    const auto machine = memsim::load_machine_config(preset, &error);
+    ASSERT_TRUE(machine.has_value()) << preset << ": " << error;
+    for (const engine::Condition condition :
+         {engine::Condition::kDdr, engine::Condition::kNumactl,
+          engine::Condition::kCacheMode}) {
+      engine::RunOptions opts;
+      opts.condition = condition;
+      opts.node = *machine;
+      actual += format_run(std::string(preset) + ' ' +
+                               engine::condition_name(condition),
+                           engine::run_app(app, opts));
+    }
+  }
+  expect_golden("latency_bound.txt", actual);
 }
 
 }  // namespace
