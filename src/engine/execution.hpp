@@ -4,16 +4,20 @@
 //
 // Timing model (per phase, per rank): the simulated access stream is a
 // sampled representation — each simulated access stands for
-// `AppSpec::access_scale` real accesses. The phase duration is the roofline
-// maximum of
+// `AppSpec::access_scale` real accesses. The phase duration is a roofline
+// over
 //   * compute:   instructions / (effective cores * IPC * frequency),
 //   * bandwidth: per-tier DRAM traffic / the rank's share of the tier's
-//                achievable bandwidth,
-//   * latency:   total miss latency / (effective cores * MLP),
-// plus allocator and interposition costs, which are charged at face value
-// (they are real per-call costs, not sampled). The profiler's monitoring
-// cost is added the same way when profiling is enabled, which is what the
-// Table I overhead column measures.
+//                achievable bandwidth, the dominant tier plus
+//                kTierMixPenalty times the others,
+//   * latency:   total access latency / (effective cores * kMlp),
+// as max(compute, memory) + kOverlapBeta * min(compute, memory), where
+// memory is the larger of the latency and bandwidth terms (the constants
+// and the roofline are in engine/run_core.hpp, shared with replay_run).
+// Allocator and interposition costs are charged at face value (they are
+// real per-call costs, not sampled). The profiler's monitoring cost is
+// added the same way when profiling is enabled, which is what the Table I
+// overhead column measures.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +42,7 @@ namespace hmem::engine {
 enum class Condition {
   kDdr,        ///< everything in DDR (reference)
   kNumactl,    ///< numactl -p 1 (FCFS into MCDRAM, statics and stack too)
-  kAutoHbw,    ///< autohbw library, 1 MiB threshold
+  kAutoHbw,    ///< autohbw library, 1 MiB threshold (kAutoHbwThreshold)
   kCacheMode,  ///< MCDRAM as direct-mapped memory-side cache
   kFramework,  ///< the paper's framework (requires a Placement)
   kDynamic,    ///< phase-aware framework (requires a PlacementSchedule)
@@ -77,20 +81,6 @@ struct RunOptions {
   /// to match the condition.
   memsim::MachineConfig node = memsim::MachineConfig::knl7250(
       memsim::MemMode::kFlat);
-  /// Outstanding misses per core for the latency roofline term (hardware
-  /// prefetchers keep many line fills in flight on KNL).
-  double mlp = 30.0;
-  /// Compute/memory overlap imperfection: phase time is
-  /// max(compute, memory) + overlap_beta * min(compute, memory). Zero means
-  /// perfect overlap (pure roofline); one means fully serialised.
-  double overlap_beta = 0.25;
-  /// Cross-tier contention: tiers stream in parallel, but the shared
-  /// mesh/controllers keep the combination short of perfect overlap:
-  /// memory time is the dominant tier's time plus tier_mix_penalty times
-  /// the sum of every other tier's.
-  double tier_mix_penalty = 0.3;
-  /// autohbw size threshold (paper: 1 MiB).
-  std::uint64_t autohbw_threshold = 1ULL << 20;
   /// Which access-loop backend executes the inner simulation loop. All
   /// kernels are bit-identical on every RunResult field; the request is
   /// resolved through the fallback ladder in engine/kernel/kernel.hpp

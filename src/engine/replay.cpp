@@ -7,12 +7,10 @@
 #include <variant>
 #include <vector>
 
-#include "alloc/allocators.hpp"
 #include "callstack/modulemap.hpp"
 #include "callstack/unwind.hpp"
-#include "common/assert.hpp"
 #include "common/error.hpp"
-#include "runtime/policy.hpp"
+#include "engine/run_core.hpp"
 
 namespace hmem::engine {
 
@@ -45,49 +43,26 @@ RunResult replay_run(trace::TraceReader& events,
   }
   const int ranks = std::max(1, options.ranks);
   const int shards = std::max(1, options.shards);
+  // Compute and bandwidth shares use the rank's full core share.
+  const double threads =
+      std::max(1.0, static_cast<double>(options.node.cores) / ranks);
 
-  // ---- Per-rank machine view (mirrors run_app) --------------------------
-  memsim::MachineConfig cfg = options.node;
-  if (cfg.tiers.empty()) throw ConfigError("node config has no tiers");
-  cfg.mode = memsim::MemMode::kFlat;
-  for (memsim::TierSpec& tier : cfg.tiers) {
-    tier.capacity_bytes /= static_cast<std::uint64_t>(ranks);
-  }
-  memsim::assign_tier_bases(cfg.tiers);
-
-  const std::size_t n_tiers = cfg.tiers.size();
-  const std::vector<memsim::TierIndex> perf = cfg.tiers_by_performance();
-  const memsim::TierIndex slowest = perf.back();
-
-  std::vector<std::unique_ptr<alloc::Allocator>> tier_allocs(n_tiers);
-  for (memsim::TierIndex t = 0; t < n_tiers; ++t) {
-    const memsim::TierSpec& tier = cfg.tiers[t];
-    if (t == slowest) {
-      tier_allocs[t] = std::make_unique<alloc::PosixAllocator>(
-          tier.base, tier.capacity_bytes);
-    } else {
-      tier_allocs[t] = std::make_unique<alloc::MemkindAllocator>(
-          tier.base, tier.capacity_bytes);
-    }
-  }
-  std::vector<alloc::Allocator*> policy_tiers;
-  for (const memsim::TierIndex t : perf) {
-    policy_tiers.push_back(tier_allocs[t].get());
-  }
-  const std::size_t slow_policy_tier = policy_tiers.size() - 1;
+  const RankView view =
+      rank_view(options.node, ranks, threads, /*cache_mode=*/false);
+  const memsim::MachineConfig& cfg = view.cfg;
+  const std::vector<memsim::TierIndex>& perf = view.perf;
+  const std::size_t slow_policy_tier = perf.size() - 1;
 
   // AllocOutcome::tier indexes the *policy's own* allocator list, which for
   // DdrPolicy holds a single entry — it does not line up with the
-  // fastest-first policy_tiers order. The assigned address is unambiguous:
-  // tier base ranges partition the simulated address space, so locate the
+  // fastest-first policy order. The assigned address is unambiguous: tier
+  // base ranges partition the simulated address space, so locate the
   // address instead.
   const auto policy_tier_of = [&](Address addr) -> std::size_t {
-    for (memsim::TierIndex t = 0; t < n_tiers; ++t) {
-      const memsim::TierSpec& tier = cfg.tiers[t];
+    for (std::size_t p = 0; p < perf.size(); ++p) {
+      const memsim::TierSpec& tier = cfg.tiers[perf[p]];
       if (addr >= tier.base && addr - tier.base < tier.capacity_bytes) {
-        for (std::size_t p = 0; p < perf.size(); ++p) {
-          if (perf[p] == t) return p;
-        }
+        return p;
       }
     }
     return slow_policy_tier;
@@ -111,30 +86,11 @@ RunResult replay_run(trace::TraceReader& events,
   callstack::Unwinder unwinder(modules);
   callstack::Translator translator(modules);
 
-  std::unique_ptr<runtime::PlacementPolicy> policy;
-  runtime::AutoHbwMalloc* framework = nullptr;
-  switch (options.condition) {
-    case Condition::kDdr:
-      policy = std::make_unique<runtime::DdrPolicy>(*policy_tiers.back());
-      break;
-    case Condition::kNumactl:
-      policy = std::make_unique<runtime::NumactlPolicy>(policy_tiers);
-      break;
-    case Condition::kAutoHbw:
-      policy = std::make_unique<runtime::AutoHbwLibPolicy>(
-          policy_tiers, options.autohbw_threshold);
-      break;
-    case Condition::kFramework: {
-      auto fw = std::make_unique<runtime::AutoHbwMalloc>(
-          *options.placement, policy_tiers, unwinder, translator,
-          options.runtime_options);
-      framework = fw.get();
-      policy = std::move(fw);
-      break;
-    }
-    default:
-      HMEM_ASSERT_MSG(false, "unreachable replay condition");
-  }
+  const PlacementRuntime rt =
+      placement_runtime(view, options.condition, options.placement,
+                        options.runtime_options, unwinder, translator,
+                        std::pmr::get_default_resource());
+  runtime::PlacementPolicy& policy = *rt.policy;
 
   // ---- Replay loop ------------------------------------------------------
   // Live map keyed by *recorded* base address (shards arrive pre-rebased by
@@ -144,7 +100,7 @@ RunResult replay_run(trace::TraceReader& events,
   // shard — is unattributed and served by the slowest tier, which is where
   // every replayable policy leaves unmanaged data.
   std::map<Address, LiveRange> live;
-  std::vector<std::uint64_t> tier_bytes(policy_tiers.size(), 0);
+  std::vector<std::uint64_t> tier_bytes(perf.size(), 0);
   std::uint64_t misses = 0;
   std::uint64_t sample_events = 0;
   std::uint64_t alloc_calls = 0;
@@ -162,8 +118,8 @@ RunResult replay_run(trace::TraceReader& events,
           known_site ? sites.get(alloc->site).stack : kEmptyStack;
       ensure_modules(stack);
       const runtime::AllocOutcome out =
-          is_dynamic ? policy->allocate(alloc->size, stack)
-                     : policy->allocate_static(alloc->size);
+          is_dynamic ? policy.allocate(alloc->size, stack)
+                     : policy.allocate_static(alloc->size);
       if (out.addr == 0) {
         throw ResourceError(
             "simulated out of memory during replay (the recorded allocation "
@@ -172,7 +128,7 @@ RunResult replay_run(trace::TraceReader& events,
       // A recorded base seen twice (possible only in a damaged shard) would
       // make sample lookup ambiguous: drop the stale range first.
       if (const auto stale = live.find(alloc->addr); stale != live.end()) {
-        policy->deallocate(stale->second.new_addr);
+        policy.deallocate(stale->second.new_addr);
         live.erase(stale);
       }
       live[alloc->addr] =
@@ -185,7 +141,7 @@ RunResult replay_run(trace::TraceReader& events,
       // silently ignored, like a malloc registry seeing a foreign pointer.
       const auto it = live.find(free->addr);
       if (it != live.end()) {
-        alloc_ns += policy->deallocate(it->second.new_addr);
+        alloc_ns += policy.deallocate(it->second.new_addr);
         live.erase(it);
       }
     } else if (const auto* sample = std::get_if<trace::SampleEvent>(&event)) {
@@ -208,37 +164,17 @@ RunResult replay_run(trace::TraceReader& events,
     // Phase markers carry no replayable work (placement is static here).
   }
 
-  // ---- Modeled time (per rank) ------------------------------------------
-  const double cores_per_rank =
-      std::max(1.0, static_cast<double>(options.node.cores) / ranks);
-  const double threads =
-      options.threads_per_rank > 0
-          ? std::min(static_cast<double>(options.threads_per_rank),
-                     cores_per_rank)
-          : cores_per_rank;
+  // ---- Modeled time (per rank): the roofline in policy order, with no
+  // latency term.
   const double instr_rate = threads * cfg.ipc * cfg.freq_ghz * 1e9;
-  const double compute_s = max_instructions / instr_rate;
-  double dominant_s = 0;
-  std::size_t dominant = 0;
-  std::vector<double> tier_seconds(policy_tiers.size(), 0.0);
-  for (std::size_t t = 0; t < policy_tiers.size(); ++t) {
-    const memsim::TierSpec& tier = options.node.tiers[perf[t]];
-    const double bw_gbs =
-        std::min(threads * tier.per_core_bw_gbs, tier.peak_bw_gbs / ranks);
-    tier_seconds[t] = static_cast<double>(tier_bytes[t]) / shards /
-                      (bw_gbs * 1e9);
-    if (tier_seconds[t] > dominant_s) {
-      dominant_s = tier_seconds[t];
-      dominant = t;
-    }
+  std::vector<double> real_bytes(perf.size());
+  std::vector<double> bw_gbs(perf.size());
+  for (std::size_t t = 0; t < perf.size(); ++t) {
+    real_bytes[t] = static_cast<double>(tier_bytes[t]) / shards;
+    bw_gbs[t] = view.tier_bw_gbs[perf[t]];
   }
-  double overlapped_s = 0;
-  for (std::size_t t = 0; t < policy_tiers.size(); ++t) {
-    if (t != dominant) overlapped_s += tier_seconds[t];
-  }
-  const double memory_s = dominant_s + options.tier_mix_penalty * overlapped_s;
-  const double time_s = std::max(compute_s, memory_s) +
-                        options.overlap_beta * std::min(compute_s, memory_s) +
+  const double time_s = roofline_s(max_instructions / instr_rate, 0.0,
+                                   threads, real_bytes, bw_gbs) +
                         alloc_ns * 1e-9;
 
   // ---- Result (per-rank means over the merged shards; exact for a
@@ -249,8 +185,8 @@ RunResult replay_run(trace::TraceReader& events,
   result.fom_unit = "n/a";
   result.time_s = std::max(time_s, 1e-12);
   result.fom = 0;
-  result.tier_traffic.reserve(policy_tiers.size());
-  for (std::size_t t = 0; t < policy_tiers.size(); ++t) {
+  result.tier_traffic.reserve(perf.size());
+  for (std::size_t t = 0; t < perf.size(); ++t) {
     TierTraffic traffic;
     traffic.name = cfg.tiers[perf[t]].name;
     traffic.bytes = tier_bytes[t] / static_cast<std::uint64_t>(shards);
@@ -264,17 +200,7 @@ RunResult replay_run(trace::TraceReader& events,
   result.allocs_per_second =
       static_cast<double>(result.alloc_calls) / result.time_s;
   result.interposition_overhead_ns = alloc_ns;
-  result.total_hwm_bytes = 0;
-  for (const auto& a : tier_allocs) {
-    result.total_hwm_bytes += a->stats().high_water_mark;
-  }
-  if (framework != nullptr) {
-    result.autohbw = framework->stats();
-    result.fast_hwm_bytes = framework->stats().fast_hwm;
-  } else if (options.condition == Condition::kNumactl ||
-             options.condition == Condition::kAutoHbw) {
-    result.fast_hwm_bytes = tier_allocs[perf.front()]->stats().high_water_mark;
-  }
+  rt.fill_result(result, options.condition);
   return result;
 }
 

@@ -19,8 +19,6 @@
 // Compute time comes from the recorded "instructions" counter when present.
 #pragma once
 
-#include <cstdint>
-
 #include "callstack/sitedb.hpp"
 #include "engine/execution.hpp"
 #include "trace/format.hpp"
@@ -35,8 +33,9 @@ struct ReplayOptions {
   const advisor::Placement* placement = nullptr;
   runtime::AutoHbwOptions runtime_options;
 
-  /// Node-level machine; per-rank tier capacity and bandwidth shares are
-  /// derived exactly as in run_app.
+  /// Node-level machine; per-rank tier capacity and bandwidth shares come
+  /// from the same rank view run_app uses, with the rank's full core share
+  /// (cores / ranks, at least one) as its thread count.
   memsim::MachineConfig node =
       memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
   /// Rank count of the *recorded job*: sizes the per-rank tier capacity
@@ -46,12 +45,6 @@ struct ReplayOptions {
   /// Number of rank shards merged into the event stream being replayed;
   /// per-rank results (traffic, misses, allocations) divide by this.
   int shards = 1;
-  /// Threads per rank for the bandwidth/compute shares; 0 = the rank's
-  /// full core share (cores / ranks).
-  int threads_per_rank = 0;
-  double overlap_beta = 0.25;
-  double tier_mix_penalty = 0.3;
-  std::uint64_t autohbw_threshold = 1ULL << 20;
 };
 
 /// Replays one recorded event stream (e.g. trace::ReplayReader::reader())

@@ -28,20 +28,6 @@ std::optional<MemMode> parse_mem_mode(const std::string& name) {
   return std::nullopt;
 }
 
-const char* served_by_name(ServedBy served) {
-  switch (served) {
-    case ServedBy::kLlc:
-      return "LLC";
-    case ServedBy::kTier:
-      return "tier";
-    case ServedBy::kMemCacheHit:
-      return "mem$hit";
-    case ServedBy::kMemCacheMiss:
-      return "mem$miss";
-  }
-  return "?";
-}
-
 MachineConfig MachineConfig::knl7250(MemMode mode) {
   MachineConfig cfg;
   cfg.name = "knl7250";
@@ -74,7 +60,6 @@ MachineConfig MachineConfig::knl7250(MemMode mode) {
   cfg.mode = mode;
   cfg.llc_latency_ns = 12.0;
   cfg.mem_cache_tag_ns = 12.0;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -109,7 +94,6 @@ MachineConfig MachineConfig::spr_hbm(MemMode mode) {
   cfg.mem_cache_tag_ns = 10.0;
   // SPR HBM caching mode streams closer to flat than KNL's did.
   cfg.cache_mode_bw_derate = 0.80;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -146,7 +130,6 @@ MachineConfig MachineConfig::ddr_cxl(MemMode mode) {
   cfg.llc_latency_ns = 15.0;
   cfg.mem_cache_tag_ns = 15.0;
   cfg.cache_mode_bw_derate = 0.85;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -189,7 +172,6 @@ MachineConfig MachineConfig::hbm_ddr_pmem(MemMode mode) {
   cfg.mode = mode;
   cfg.llc_latency_ns = 15.0;
   cfg.mem_cache_tag_ns = 12.0;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -222,7 +204,6 @@ MachineConfig MachineConfig::test_node(MemMode mode) {
   cfg.mode = mode;
   cfg.llc_latency_ns = 5.0;
   cfg.mem_cache_tag_ns = 10.0;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -263,7 +244,6 @@ MachineConfig MachineConfig::test_node3(MemMode mode) {
   cfg.mode = mode;
   cfg.llc_latency_ns = 5.0;
   cfg.mem_cache_tag_ns = 10.0;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -311,8 +291,6 @@ MachineConfig MachineConfig::from_config(const Config& config) {
       "machine", "cache_mode_bw_derate", cfg.cache_mode_bw_derate);
   cfg.cache_mode_conflict_k = config.get_double(
       "machine", "cache_mode_conflict_k", cfg.cache_mode_conflict_k);
-  cfg.mem_cache_block_bytes = config.get_bytes(
-      "machine", "mem_cache_block", cfg.mem_cache_block_bytes);
 
   cfg.llc.size_bytes = config.get_bytes("llc", "size", 32ULL * kMiB);
   cfg.llc.line_bytes =
@@ -426,15 +404,6 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)),
   }
   fastest_ = config_.fastest_tier();
   slowest_ = config_.slowest_tier();
-  cache_front_ = config_.resolved_cache_front();
-  cache_backing_ = config_.resolved_cache_backing();
-  if (config_.mode == MemMode::kCache) {
-    HMEM_ASSERT_MSG(cache_front_ != cache_backing_,
-                    "cache mode needs two distinct tiers");
-    mem_cache_ = std::make_unique<DirectMappedMemCache>(
-        config_.tiers[cache_front_].capacity_bytes,
-        config_.mem_cache_block_bytes);
-  }
 }
 
 bool Machine::in_tier(Address addr, TierIndex tier) const {
@@ -452,56 +421,17 @@ AccessResult Machine::access(Address addr, bool is_write) {
   AccessResult result;
   result.llc_hit = llc_.access(addr);
   if (result.llc_hit) {
-    result.served_by = ServedBy::kLlc;
     result.latency_ns = config_.llc_latency_ns;
     return result;
   }
-
-  if (config_.mode == MemMode::kFlat) {
-    const TierIndex t = owning_tier(addr);
-    result.served_by = ServedBy::kTier;
-    result.tier = t;
-    result.latency_ns = ranges_[t].latency_ns;
-    result.tier_bytes = kCacheLineBytes;
-    if (is_write)
-      tiers_[t].record_write(kCacheLineBytes);
-    else
-      tiers_[t].record_read(kCacheLineBytes);
-    return result;
-  }
-
-  // Cache mode: every LLC miss consults the memory-side tag directory of
-  // the front tier; misses are served by the backing tier plus a fill.
-  HMEM_ASSERT(mem_cache_ != nullptr);
-  MemoryTier& front = tiers_[cache_front_];
-  MemoryTier& backing = tiers_[cache_backing_];
-  const bool mc_hit = mem_cache_->access(addr);
-  if (mc_hit) {
-    result.served_by = ServedBy::kMemCacheHit;
-    result.tier = cache_front_;
-    result.latency_ns =
-        front.spec().latency_ns + config_.mem_cache_tag_ns;
-    result.tier_bytes = kCacheLineBytes;
-    if (is_write)
-      front.record_write(kCacheLineBytes);
-    else
-      front.record_read(kCacheLineBytes);
-  } else {
-    // Served by the backing tier; the line is also filled into the front
-    // tier (extra write traffic — the cost of the memory-side fill).
-    result.served_by = ServedBy::kMemCacheMiss;
-    result.tier = cache_backing_;
-    result.latency_ns =
-        backing.spec().latency_ns + config_.mem_cache_tag_ns;
-    result.tier_bytes = kCacheLineBytes;
-    result.fill_tier = cache_front_;
-    result.fill_bytes = kCacheLineBytes;
-    if (is_write)
-      backing.record_write(kCacheLineBytes);
-    else
-      backing.record_read(kCacheLineBytes);
-    front.record_write(kCacheLineBytes);
-  }
+  const TierIndex t = owning_tier(addr);
+  result.tier = t;
+  result.latency_ns = ranges_[t].latency_ns;
+  result.tier_bytes = kCacheLineBytes;
+  if (is_write)
+    tiers_[t].record_write(kCacheLineBytes);
+  else
+    tiers_[t].record_read(kCacheLineBytes);
   return result;
 }
 
@@ -509,10 +439,6 @@ void Machine::reset() {
   llc_.flush();
   llc_.reset_stats();
   for (MemoryTier& tier : tiers_) tier.reset_stats();
-  if (mem_cache_ != nullptr) {
-    mem_cache_->flush();
-    mem_cache_->reset_stats();
-  }
 }
 
 }  // namespace hmem::memsim

@@ -1,23 +1,25 @@
 // The simulated hybrid-memory node.
 //
-// Machine glues the LLC model, an ordered list of N memory tiers and (in
-// cache mode) the direct-mapped memory-side cache into a single `access()`
-// entry point: given a physical address, it classifies where the access was
-// served and what DRAM traffic it generated. The execution engine aggregates
-// these classifications into phase timings; the PEBS sampler taps the
-// LLC-miss stream.
+// Machine glues the LLC model and an ordered list of N memory tiers into a
+// single `access()` entry point: given a physical address, it classifies
+// where the access was served and what DRAM traffic it generated. Every
+// tier is addressable memory (its own range) and placement decides which
+// tier serves a miss. The execution engine aggregates these
+// classifications into phase timings; the PEBS sampler taps the LLC-miss
+// stream.
 //
-// Two operating modes mirror the paper's platform:
-//  * kFlat  — every tier is addressable memory (its own range); placement
-//             decides which tier serves a miss.
+// MachineConfig also names the paper's two operating modes:
+//  * kFlat  — as above;
 //  * kCache — one designated tier (the cache *front*) fronts another (the
-//             *backing* tier) as a direct-mapped memory-side cache, conflict
-//             misses and all. All data lives in the backing tier's range.
-//             On KNL: MCDRAM fronting DDR.
+//             *backing* tier) as a direct-mapped memory-side cache. All data
+//             lives in the backing tier's range. On KNL: MCDRAM fronting
+//             DDR. The engine models this mode analytically over a flat
+//             Machine (run_app's CacheModeModel): the sampled access stream
+//             touches a scaled-down image of the working set, which a
+//             line-level tag simulation would mistake for the real one.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,7 +27,6 @@
 #include "common/config.hpp"
 #include "memsim/address.hpp"
 #include "memsim/cache.hpp"
-#include "memsim/mcdram_cache.hpp"
 #include "memsim/tier.hpp"
 
 namespace hmem::memsim {
@@ -35,29 +36,14 @@ enum class MemMode { kFlat, kCache };
 const char* mem_mode_name(MemMode mode);
 std::optional<MemMode> parse_mem_mode(const std::string& name);
 
-/// Where an access was ultimately served from.
-enum class ServedBy {
-  kLlc,           ///< hit in the last-level cache
-  kTier,          ///< flat mode, served by the tier owning the range
-  kMemCacheHit,   ///< cache mode, memory-side cache hit (front tier)
-  kMemCacheMiss,  ///< cache mode, served by the backing tier + front fill
-};
-
-const char* served_by_name(ServedBy served);
-
 struct AccessResult {
   bool llc_hit = false;
-  ServedBy served_by = ServedBy::kLlc;
   /// Tier that served the access (meaningless on an LLC hit).
   TierIndex tier = 0;
   double latency_ns = 0.0;
   /// DRAM traffic this access generated on the serving tier (line fill /
-  /// writeback) ...
+  /// writeback); zero on an LLC hit.
   std::uint64_t tier_bytes = 0;
-  /// ... plus, in cache mode, the memory-side fill traffic on the front
-  /// tier (fill_bytes is zero everywhere else).
-  TierIndex fill_tier = 0;
-  std::uint64_t fill_bytes = 0;
 };
 
 struct MachineConfig {
@@ -91,8 +77,6 @@ struct MachineConfig {
   /// so conflicts only bite when the working set oversubscribes the front
   /// tier ("the lack of associativity is a problem").
   double cache_mode_conflict_k = 0.05;
-  /// Tag-tracking granularity of the memory-side cache.
-  std::uint64_t mem_cache_block_bytes = kPageBytes;
 
   /// The paper's platform: Intel Xeon Phi 7250, 68 cores @ 1.40 GHz,
   /// 96 GiB DDR4 + 16 GiB MCDRAM, 32 MiB aggregate L2 (LLC).
@@ -156,7 +140,8 @@ class Machine {
  public:
   explicit Machine(MachineConfig config);
 
-  /// Simulates one memory access at line granularity.
+  /// Simulates one memory access at line granularity. The configured mode
+  /// is not consulted: every miss is served by the tier owning the address.
   AccessResult access(Address addr, bool is_write);
 
   /// Tier that owns the address range (flat-mode view); addresses outside
@@ -165,7 +150,6 @@ class Machine {
   bool in_tier(Address addr, TierIndex tier) const;
 
   const MachineConfig& config() const { return config_; }
-  MemMode mode() const { return config_.mode; }
 
   Cache& llc() { return llc_; }
   const Cache& llc() const { return llc_; }
@@ -174,8 +158,6 @@ class Machine {
   const MemoryTier& tier(TierIndex i) const { return tiers_[i]; }
   TierIndex fastest_tier() const { return fastest_; }
   TierIndex slowest_tier() const { return slowest_; }
-  /// Null in flat mode.
-  const DirectMappedMemCache* mem_cache() const { return mem_cache_.get(); }
 
   void reset();
 
@@ -194,9 +176,6 @@ class Machine {
   std::vector<TierRange> ranges_;
   TierIndex fastest_ = 0;
   TierIndex slowest_ = 0;
-  TierIndex cache_front_ = 0;
-  TierIndex cache_backing_ = 0;
-  std::unique_ptr<DirectMappedMemCache> mem_cache_;
 };
 
 }  // namespace hmem::memsim

@@ -19,7 +19,8 @@
 //  * AutoHbwMalloc    — the paper's contribution (see auto_hbwmalloc.hpp);
 //                       implements this same interface.
 //  * cache mode       — not a policy: everything goes to the backing tier
-//                       (DdrPolicy) and the Machine runs MemMode::kCache.
+//                       (DdrPolicy) and the engine's analytic cache-mode
+//                       model decides which tier serves each miss.
 #pragma once
 
 #include <cstdint>

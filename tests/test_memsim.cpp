@@ -7,7 +7,6 @@
 #include "common/units.hpp"
 #include "memsim/cache.hpp"
 #include "memsim/machine.hpp"
-#include "memsim/mcdram_cache.hpp"
 #include "memsim/tier.hpp"
 
 namespace hmem::memsim {
@@ -176,36 +175,6 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheParam{16384, 2}, CacheParam{65536, 16},
                       CacheParam{262144, 8}));
 
-// -------------------------------------------------------- mcdram cache ----
-
-TEST(McdramCache, DirectMappedConflicts) {
-  DirectMappedMemCache mc(8 * kPageBytes, kPageBytes);
-  EXPECT_FALSE(mc.access(kDdrBase));
-  EXPECT_TRUE(mc.access(kDdrBase));
-  // Aliasing address 8 pages away evicts the first.
-  EXPECT_FALSE(mc.access(kDdrBase + 8 * kPageBytes));
-  EXPECT_FALSE(mc.access(kDdrBase));
-  EXPECT_EQ(mc.stats().conflict_evictions, 2u);
-}
-
-TEST(McdramCache, HitRateForFittingSetIsPerfectAfterWarmup) {
-  DirectMappedMemCache mc(64 * kPageBytes, kPageBytes);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::uint64_t p = 0; p < 32; ++p) {
-      mc.access(kDdrBase + p * kPageBytes);
-    }
-  }
-  // Second pass: all hits (no aliasing within 32 consecutive pages of 64).
-  EXPECT_EQ(mc.stats().hits, 32u);
-}
-
-TEST(McdramCache, FlushClears) {
-  DirectMappedMemCache mc(4 * kPageBytes, kPageBytes);
-  mc.access(kDdrBase);
-  mc.flush();
-  EXPECT_FALSE(mc.contains(kDdrBase));
-}
-
 // ---------------------------------------------------------------- tier ----
 
 TEST(Tier, EffectiveBandwidthSaturates) {
@@ -240,13 +209,10 @@ TEST(Machine, FlatModeRoutesByAddressRange) {
   Machine m(MachineConfig::test_node(MemMode::kFlat));
   const auto ddr = m.access(kDdrBase + 12345, false);
   EXPECT_FALSE(ddr.llc_hit);
-  EXPECT_EQ(ddr.served_by, ServedBy::kTier);
   EXPECT_EQ(ddr.tier, 0u);
   EXPECT_EQ(ddr.tier_bytes, kCacheLineBytes);
-  EXPECT_EQ(ddr.fill_bytes, 0u);
 
   const auto mc = m.access(kMcdramBase + 512, true);
-  EXPECT_EQ(mc.served_by, ServedBy::kTier);
   EXPECT_EQ(mc.tier, 1u);
   EXPECT_EQ(mc.tier_bytes, kCacheLineBytes);
   EXPECT_EQ(m.tier(1).stats().writes, 1u);
@@ -261,24 +227,6 @@ TEST(Machine, LlcHitCostsLess) {
   EXPECT_TRUE(hit.llc_hit);
   EXPECT_LT(hit.latency_ns, miss.latency_ns);
   EXPECT_EQ(hit.tier_bytes, 0u);
-}
-
-TEST(Machine, CacheModeFillsAndHits) {
-  // MCDRAM (tier 1, the fastest) fronts DDR (tier 0, the slowest).
-  Machine m(MachineConfig::test_node(MemMode::kCache));
-  ASSERT_NE(m.mem_cache(), nullptr);
-  const auto first = m.access(kDdrBase, false);
-  EXPECT_EQ(first.served_by, ServedBy::kMemCacheMiss);
-  EXPECT_EQ(first.tier, 0u);  // served by the backing tier
-  EXPECT_EQ(first.tier_bytes, kCacheLineBytes);
-  EXPECT_EQ(first.fill_tier, 1u);  // memory-side fill into the front
-  EXPECT_EQ(first.fill_bytes, kCacheLineBytes);
-
-  // Different line, same memory-side page: tag already present.
-  const auto second = m.access(kDdrBase + 512, false);
-  EXPECT_EQ(second.served_by, ServedBy::kMemCacheHit);
-  EXPECT_EQ(second.tier, 1u);
-  EXPECT_EQ(second.fill_bytes, 0u);
 }
 
 TEST(Machine, OwningTierAndRangeChecks) {
@@ -337,7 +285,6 @@ TEST(Machine, ThreeTierRoutingAcrossAddressRanges) {
     const Address addr = cfg.tiers[t].base + 3 * kCacheLineBytes;
     const auto res = m.access(addr, t == 1);
     EXPECT_FALSE(res.llc_hit);
-    EXPECT_EQ(res.served_by, ServedBy::kTier);
     EXPECT_EQ(res.tier, t);
     EXPECT_EQ(res.tier_bytes, kCacheLineBytes);
     EXPECT_DOUBLE_EQ(res.latency_ns, cfg.tiers[t].latency_ns);
@@ -378,12 +325,6 @@ TEST(Machine, CacheModePairResolvesToFastestFrontingSlowest) {
   const auto cfg = MachineConfig::test_node3(MemMode::kCache);
   EXPECT_EQ(cfg.resolved_cache_front(), 2u);    // HBM
   EXPECT_EQ(cfg.resolved_cache_backing(), 0u);  // PMEM
-  Machine m(cfg);
-  ASSERT_NE(m.mem_cache(), nullptr);
-  const auto first = m.access(cfg.tiers[0].base, false);
-  EXPECT_EQ(first.served_by, ServedBy::kMemCacheMiss);
-  EXPECT_EQ(first.tier, 0u);
-  EXPECT_EQ(first.fill_tier, 2u);
 }
 
 TEST(MachineConfig, PresetLookup) {
