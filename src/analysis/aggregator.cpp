@@ -12,14 +12,27 @@
 
 namespace hmem::analysis {
 
+namespace {
+
+/// The one ordering every profile consumer sees: descending misses, site id
+/// as the total tie-break, so sorted output is independent of input order.
+bool by_misses(const advisor::ObjectInfo& a, const advisor::ObjectInfo& b) {
+  if (a.llc_misses != b.llc_misses) return a.llc_misses > b.llc_misses;
+  return a.site < b.site;
+}
+
+}  // namespace
+
 AggregateVisitor::AggregateVisitor(const callstack::SiteDb& sites)
     : sites_(&sites) {
   accum_.resize(sites.size());
 }
 
-void AggregateVisitor::check_order(double t) {
+// Every event passes here once: the time-order invariant plus the count.
+void AggregateVisitor::admit(double t) {
   HMEM_ASSERT_MSG(t >= last_time_, "trace events out of time order");
   last_time_ = t;
+  ++events_;
 }
 
 AggregateVisitor::SiteAccum& AggregateVisitor::accum_for(
@@ -31,15 +44,22 @@ AggregateVisitor::SiteAccum& AggregateVisitor::accum_for(
 }
 
 void AggregateVisitor::on_alloc(const trace::AllocEvent& e) {
-  check_order(e.time_ns);
+  admit(e.time_ns);
   SiteAccum& sa = accum_for(e.site);
+  if (!sa.seen || e.size > sa.max_size) {
+    // A new site or a grown max-size reshapes every phase slice (max_size
+    // is a whole-run property carried into each phase), so this is the
+    // profile-wide invalidation signal.
+    ++profile_version_;
+    ++version_;
+  }
   sa.seen = true;
   sa.max_size = std::max(sa.max_size, e.size);
   registry_.on_alloc(e.addr, e.size, e.site);
 }
 
 void AggregateVisitor::on_free(const trace::FreeEvent& e) {
-  check_order(e.time_ns);
+  admit(e.time_ns);
   registry_.on_free(e.addr);
 }
 
@@ -47,32 +67,35 @@ std::size_t AggregateVisitor::phase_accum_for(const std::string& name) {
   for (std::size_t i = 0; i < phase_accum_.size(); ++i) {
     if (phase_accum_[i].name == name) return i;
   }
-  phase_accum_.push_back(PhaseAccum{name, {}});
+  phase_accum_.push_back(PhaseAccum{name, {}, 0, 0});
   return phase_accum_.size() - 1;
 }
 
 void AggregateVisitor::on_sample(const trace::SampleEvent& e) {
-  check_order(e.time_ns);
-  ++result_.total_samples;
-  result_.total_weighted_misses += e.weight;
+  admit(e.time_ns);
+  ++total_samples_;
+  total_weighted_misses_ += e.weight;
   const auto obj = registry_.lookup(e.addr);
-  if (obj) {
-    accum_for(obj->site).misses += e.weight;
-    if (!open_phases_.empty()) {
-      PhaseAccum& pa = phase_accum_[open_phases_.back()];
-      if (obj->site >= pa.misses.size()) pa.misses.resize(sites_->size(), 0);
-      pa.misses[obj->site] += e.weight;
-    }
-  } else {
-    ++result_.unattributed_samples;
-    result_.unattributed_misses += e.weight;
+  if (!obj) {
+    ++unattributed_samples_;
+    unattributed_misses_ += e.weight;
+    return;
+  }
+  ++version_;
+  accum_for(obj->site).misses += e.weight;
+  if (!open_phases_.empty()) {
+    PhaseAccum& pa = phase_accum_[open_phases_.back()];
+    if (obj->site >= pa.misses.size()) pa.misses.resize(sites_->size(), 0);
+    pa.misses[obj->site] += e.weight;
+    pa.total += e.weight;
+    ++pa.version;
   }
 }
 
 // Phase events drive the per-phase profile slicing; counter events are a
 // folding concern. Both participate in the time-order invariant.
 void AggregateVisitor::on_phase(const trace::PhaseEvent& e) {
-  check_order(e.time_ns);
+  admit(e.time_ns);
   const std::size_t idx = phase_accum_for(e.name);
   if (e.begin) {
     open_phases_.push_back(idx);
@@ -90,15 +113,25 @@ void AggregateVisitor::on_phase(const trace::PhaseEvent& e) {
 }
 
 void AggregateVisitor::on_counter(const trace::CounterEvent& e) {
-  check_order(e.time_ns);
+  admit(e.time_ns);
 }
 
-AggregateResult AggregateVisitor::finish() {
-  const auto by_misses = [](const advisor::ObjectInfo& a,
-                            const advisor::ObjectInfo& b) {
-    if (a.llc_misses != b.llc_misses) return a.llc_misses > b.llc_misses;
-    return a.site < b.site;
-  };
+const AggregateVisitor::PhaseAccum& AggregateVisitor::phase_at(
+    std::size_t phase) const {
+  HMEM_ASSERT_MSG(phase < phase_accum_.size(), "phase index out of range");
+  return phase_accum_[phase];
+}
+
+std::uint64_t AggregateVisitor::phase_version(std::size_t phase) const {
+  return phase_at(phase).version;
+}
+
+std::uint64_t AggregateVisitor::phase_misses(std::size_t phase) const {
+  return phase_at(phase).total;
+}
+
+std::vector<advisor::ObjectInfo> AggregateVisitor::build_objects() const {
+  std::vector<advisor::ObjectInfo> objects;
   for (callstack::SiteId id = 0; id < accum_.size(); ++id) {
     if (!accum_[id].seen) continue;
     const auto& info = sites_->get(id);
@@ -109,28 +142,62 @@ AggregateResult AggregateVisitor::finish() {
     obj.max_size_bytes = accum_[id].max_size;
     obj.llc_misses = accum_[id].misses;
     obj.is_dynamic = info.is_dynamic;
-    result_.objects.push_back(std::move(obj));
+    objects.push_back(std::move(obj));
   }
-  // Descending misses — the order every consumer wants.
-  std::sort(result_.objects.begin(), result_.objects.end(), by_misses);
+  std::sort(objects.begin(), objects.end(), by_misses);
+  return objects;
+}
 
-  // Per-phase slices: every whole-run site appears in every phase (objects
-  // a phase never touches simply carry zero misses and are never selected),
-  // so a single-phase trace reproduces `objects` exactly.
-  for (const PhaseAccum& pa : phase_accum_) {
-    advisor::PhaseObjects phase;
-    phase.name = pa.name;
-    phase.objects.reserve(result_.objects.size());
-    for (const advisor::ObjectInfo& whole : result_.objects) {
-      advisor::ObjectInfo obj = whole;
-      obj.llc_misses =
-          whole.site < pa.misses.size() ? pa.misses[whole.site] : 0;
-      phase.objects.push_back(std::move(obj));
-    }
-    std::sort(phase.objects.begin(), phase.objects.end(), by_misses);
-    result_.phases.push_back(std::move(phase));
+// Every whole-run site appears in every phase slice (objects a phase never
+// touches simply carry zero misses and are never selected), so a
+// single-phase trace reproduces the whole-run list exactly.
+advisor::PhaseObjects AggregateVisitor::build_phase(
+    const PhaseAccum& pa,
+    const std::vector<advisor::ObjectInfo>& whole) const {
+  advisor::PhaseObjects phase;
+  phase.name = pa.name;
+  phase.objects.reserve(whole.size());
+  for (const advisor::ObjectInfo& whole_obj : whole) {
+    advisor::ObjectInfo obj = whole_obj;
+    obj.llc_misses =
+        whole_obj.site < pa.misses.size() ? pa.misses[whole_obj.site] : 0;
+    phase.objects.push_back(std::move(obj));
   }
-  return std::move(result_);
+  std::sort(phase.objects.begin(), phase.objects.end(), by_misses);
+  return phase;
+}
+
+AggregateResult AggregateVisitor::snapshot() const {
+  AggregateResult out;
+  out.objects = build_objects();
+  out.phases.reserve(phase_accum_.size());
+  for (const PhaseAccum& pa : phase_accum_) {
+    out.phases.push_back(build_phase(pa, out.objects));
+  }
+  out.unattributed_samples = unattributed_samples_;
+  out.unattributed_misses = unattributed_misses_;
+  out.total_samples = total_samples_;
+  out.total_weighted_misses = total_weighted_misses_;
+  return out;
+}
+
+ObjectsView AggregateVisitor::objects_view() const {
+  ObjectsView view;
+  view.objects = build_objects();
+  view.profile_version = profile_version_;
+  view.version = version_;
+  view.attributed_misses = attributed_misses();
+  return view;
+}
+
+PhaseView AggregateVisitor::phase_view(std::size_t phase) const {
+  const PhaseAccum& pa = phase_at(phase);
+  PhaseView view;
+  view.objects = build_phase(pa, build_objects());
+  view.profile_version = profile_version_;
+  view.version = pa.version;
+  view.misses = pa.total;
+  return view;
 }
 
 AggregateResult aggregate_trace(const trace::TraceBuffer& trace,

@@ -11,7 +11,11 @@
 // accumulators and the live-range map, never the trace itself, so it scales
 // to arbitrarily long event streams (feed it from a TraceReader — possibly
 // a k-way merge over per-rank shards — or straight from the profiler via a
-// VisitorSink). aggregate_trace() is the buffered-path adapter.
+// VisitorSink). aggregate_trace() is the buffered-path adapter. This is
+// the library's only implementation of the rules; the streaming
+// IncrementalAggregator is one of these behind a lock, and the independent
+// re-implementation the differential tests compare against lives in
+// tests/oracle/.
 #pragma once
 
 #include <cstdint>
@@ -51,10 +55,33 @@ struct AggregateResult {
   }
 };
 
-/// Single-pass streaming aggregation. Feed events (in non-decreasing time
-/// order — asserted), then call finish() exactly once. The SiteDb may still
-/// be growing while events stream in (the format readers intern sites
-/// lazily); it is only consulted per referenced site and at finish().
+/// Atomic read of the whole-run object profile plus the version counters
+/// that were current when it was taken — what IncrementalAdvisor stores per
+/// solve so a concurrent writer can never make a solved state look fresher
+/// than its input.
+struct ObjectsView {
+  std::vector<advisor::ObjectInfo> objects;  ///< == snapshot().objects
+  std::uint64_t profile_version = 0;
+  std::uint64_t version = 0;  ///< whole-run change counter at read time
+  std::uint64_t attributed_misses = 0;
+};
+
+/// Same idea for one phase slice: == snapshot().phases[index].
+struct PhaseView {
+  advisor::PhaseObjects objects;
+  std::uint64_t profile_version = 0;
+  std::uint64_t version = 0;  ///< this phase's change counter at read time
+  std::uint64_t misses = 0;   ///< weighted misses binned into this phase
+};
+
+/// The one aggregation core: a single-pass, single-writer streaming visitor.
+/// Feed events in non-decreasing time order (asserted). Every read is
+/// const and non-destructive, so the profile can be read at any point
+/// mid-stream, any number of times; finish() is simply the last snapshot().
+/// The SiteDb may still be growing while events stream in (the format
+/// readers intern sites lazily); it is only consulted per referenced site
+/// and when a read builds ObjectInfo rows. Takes no lock: a writer racing
+/// readers goes through IncrementalAggregator, which wraps one of these.
 class AggregateVisitor : public trace::EventVisitor {
  public:
   explicit AggregateVisitor(const callstack::SiteDb& sites);
@@ -65,8 +92,34 @@ class AggregateVisitor : public trace::EventVisitor {
   void on_phase(const trace::PhaseEvent& e) override;
   void on_counter(const trace::CounterEvent& e) override;
 
-  /// Finalizes: one ObjectInfo per seen site, sorted by descending misses.
-  AggregateResult finish();
+  /// Everything seen so far: one ObjectInfo per seen site, sorted by
+  /// descending misses, plus every phase slice and the totals.
+  AggregateResult snapshot() const;
+  AggregateResult finish() const { return snapshot(); }
+
+  /// O(sites log sites) whole-run / single-phase reads for the amortized
+  /// re-solve path (snapshot() is O(phases * sites log sites)).
+  ObjectsView objects_view() const;
+  PhaseView phase_view(std::size_t phase) const;
+
+  // ---- Dirty-tracking counters -----------------------------------------
+  // profile_version() moves when the *shape* of the profile changes — a new
+  // site is seen or a site's max observed size grows — which invalidates
+  // every phase slice (max_size/is_dynamic are whole-run properties).
+  // version() moves with every whole-run-visible change (profile shape or
+  // an attributed sample); phase_version(p) moves only when a sample is
+  // binned into phase p. A reader that stored the counters alongside its
+  // last consumed view can decide staleness without touching the profile.
+  std::uint64_t profile_version() const { return profile_version_; }
+  std::uint64_t version() const { return version_; }
+  std::size_t phase_count() const { return phase_accum_.size(); }
+  std::uint64_t phase_version(std::size_t phase) const;
+  std::uint64_t phase_misses(std::size_t phase) const;
+
+  std::uint64_t events_seen() const { return events_; }
+  std::uint64_t attributed_misses() const {
+    return total_weighted_misses_ - unattributed_misses_;
+  }
 
  private:
   struct SiteAccum {
@@ -78,11 +131,18 @@ class AggregateVisitor : public trace::EventVisitor {
   struct PhaseAccum {
     std::string name;
     std::vector<std::uint64_t> misses;  ///< indexed by SiteId
+    std::uint64_t total = 0;
+    std::uint64_t version = 0;
   };
 
-  void check_order(double t);
+  void admit(double t);
   SiteAccum& accum_for(callstack::SiteId site);
   std::size_t phase_accum_for(const std::string& name);
+  const PhaseAccum& phase_at(std::size_t phase) const;
+  std::vector<advisor::ObjectInfo> build_objects() const;
+  advisor::PhaseObjects build_phase(
+      const PhaseAccum& pa,
+      const std::vector<advisor::ObjectInfo>& whole) const;
 
   const callstack::SiteDb* sites_;
   std::vector<SiteAccum> accum_;
@@ -96,11 +156,19 @@ class AggregateVisitor : public trace::EventVisitor {
   std::vector<std::size_t> open_phases_;  ///< indices into phase_accum_
   profiler::ObjectRegistry registry_;
   double last_time_ = -1.0;
-  AggregateResult result_;
+
+  std::uint64_t events_ = 0;
+  std::uint64_t total_samples_ = 0;
+  std::uint64_t total_weighted_misses_ = 0;
+  std::uint64_t unattributed_samples_ = 0;
+  std::uint64_t unattributed_misses_ = 0;
+  std::uint64_t profile_version_ = 0;
+  std::uint64_t version_ = 0;
 };
 
-/// Aggregates a buffered trace against the site database that produced it.
-/// Thin adapter over AggregateVisitor; kept for tests and small traces.
+/// Aggregates a buffered trace against the site database that produced it
+/// (the profiled run's in-memory TraceBuffer): AggregateVisitor over
+/// visit_buffer(), then finish().
 AggregateResult aggregate_trace(const trace::TraceBuffer& trace,
                                 const callstack::SiteDb& sites);
 

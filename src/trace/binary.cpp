@@ -444,14 +444,14 @@ class BinaryTraceReader final : public TraceReader {
         e.site = it->second;
         e.addr = take_addr();
         e.size = take_varint();
-        out = e;
+        out = std::move(e);
         break;
       }
       case kFree: {
         FreeEvent e;
         e.time_ns = t;
         e.addr = take_addr();
-        out = e;
+        out = std::move(e);
         break;
       }
       case kSampleLoad:
@@ -461,7 +461,7 @@ class BinaryTraceReader final : public TraceReader {
         e.is_write = kind == kSampleStore;
         e.addr = take_addr();
         e.weight = take_varint();
-        out = e;
+        out = std::move(e);
         break;
       }
       case kPhaseBegin:
@@ -470,7 +470,7 @@ class BinaryTraceReader final : public TraceReader {
         e.time_ns = t;
         e.begin = kind == kPhaseBegin;
         e.name = string_at(take_varint());
-        out = e;
+        out = std::move(e);
         break;
       }
       case kCounter: {
@@ -485,7 +485,7 @@ class BinaryTraceReader final : public TraceReader {
                   << (8 * i);
         cursor_ += 8;
         std::memcpy(&e.value, &bits, sizeof(e.value));
-        out = e;
+        out = std::move(e);
         break;
       }
       default:

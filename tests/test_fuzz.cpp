@@ -28,9 +28,9 @@
 //   6. Incremental prefix property: for random recorded streams (profiled
 //      runs of random valid app configs, and k-way merged synthetic
 //      multi-rank streams) and random cut points k, the
-//      IncrementalAggregator's snapshot after the first k events equals a
-//      fresh batch AggregateVisitor fed the same k events then finished —
-//      every field, phase slices included.
+//      IncrementalAggregator's snapshot after the first k events equals
+//      the independent oracle (tests/oracle/ BatchAggregator) fed the same
+//      k events then finished — every field, phase slices included.
 //   7. Merge order: random shards of all five event kinds, with heap-held
 //      (longer than the small-string buffer) phase and counter names and
 //      many timestamps equal across shards, k-way merge to exactly the
@@ -62,6 +62,7 @@
 #include "common/prng.hpp"
 #include "engine/execution.hpp"
 #include "engine/kernel/ir.hpp"
+#include "oracle/batch_aggregator.hpp"
 #include "trace/format.hpp"
 #include "trace/merge.hpp"
 #include "trace/salvage.hpp"
@@ -756,7 +757,7 @@ TEST(Fuzz, TruncatedShardsSalvageAnExactPrefix) {
 
 // ------------------------------- 6. incremental prefix property ----------
 
-/// Every-field equality of batch vs incremental aggregation, phase slices
+/// Every-field equality of oracle vs incremental aggregation, phase slices
 /// included (the incremental convergence contract covers them).
 void expect_same_aggregate(const analysis::AggregateResult& batch,
                            const analysis::AggregateResult& inc,
@@ -793,8 +794,8 @@ void expect_same_aggregate(const analysis::AggregateResult& batch,
 }
 
 /// The property itself: random ascending cuts over one event sequence. The
-/// incremental aggregator is fed once, forward; each cut re-runs a fresh
-/// batch visitor over the prefix — the oracle never sees the suffix.
+/// incremental aggregator is fed once, forward; each cut re-runs the
+/// independent batch oracle over the prefix — it never sees the suffix.
 void check_prefix_property(const std::vector<trace::Event>& events,
                            const callstack::SiteDb& sites, Xoshiro256& rng,
                            const std::string& label) {
@@ -807,11 +808,8 @@ void check_prefix_property(const std::vector<trace::Event>& events,
   std::size_t fed = 0;
   for (const std::size_t cut : cuts) {
     for (; fed < cut; ++fed) trace::dispatch_event(events[fed], inc);
-    analysis::AggregateVisitor batch(sites);
-    for (std::size_t i = 0; i < cut; ++i) {
-      trace::dispatch_event(events[i], batch);
-    }
-    expect_same_aggregate(batch.finish(), inc.snapshot(),
+    expect_same_aggregate(oracle::batch_aggregate(events, cut, sites),
+                          inc.snapshot(),
                           label + " cut " + std::to_string(cut));
   }
 }

@@ -1,6 +1,8 @@
-// Differential suite for the incremental streaming advisor: the batch
-// aggregation/advisor path is the bit-exact oracle (the same pattern that
-// made the compiled kernels trustworthy), and the incremental path must
+// Differential suite for the incremental streaming advisor. The aggregation
+// oracle is hmem::oracle::BatchAggregator (tests/oracle/), an independent
+// re-implementation of the attribution rules: the library's batch path and
+// its incremental snapshots must both equal it exactly. The batch
+// PhaseAdvisor is the advisor oracle, and the incremental advisor must
 // converge to it exactly — on every bundled app, on every machine preset.
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "engine/execution.hpp"
 #include "engine/pipeline.hpp"
 #include "memsim/machine.hpp"
+#include "oracle/batch_aggregator.hpp"
 #include "trace/visitor.hpp"
 
 namespace hmem {
@@ -98,7 +101,7 @@ advisor::MemorySpec spec_for(const memsim::MachineConfig& node) {
   return engine::machine_memory_spec(node, budget, /*ranks=*/1);
 }
 
-// ---- Aggregator: converged snapshot == batch finish() ---------------------
+// ---- Aggregator: batch finish() and converged snapshot == oracle ----------
 
 TEST(IncrementalAggregator, ConvergedSnapshotMatchesBatchOnAllAppsPresets) {
   for (const auto& node : all_presets()) {
@@ -107,14 +110,18 @@ TEST(IncrementalAggregator, ConvergedSnapshotMatchesBatchOnAllAppsPresets) {
       const auto run = profiled_run(app, node);
       ASSERT_NE(run.trace, nullptr) << label;
 
-      const AggregateResult batch =
-          analysis::aggregate_trace(*run.trace, *run.sites);
+      const auto& events = run.trace->events();
+      const AggregateResult expected =
+          oracle::batch_aggregate(events, events.size(), *run.sites);
+      expect_identical_results(
+          expected, analysis::aggregate_trace(*run.trace, *run.sites),
+          label + " (batch)");
 
       IncrementalAggregator inc(*run.sites);
       trace::visit_buffer(*run.trace, inc);
-      expect_identical_results(batch, inc.snapshot(), label);
+      expect_identical_results(expected, inc.snapshot(), label);
       // snapshot() is non-destructive: a second one is identical too.
-      expect_identical_results(batch, inc.snapshot(), label + " (again)");
+      expect_identical_results(expected, inc.snapshot(), label + " (again)");
     }
   }
 }
@@ -129,11 +136,8 @@ TEST(IncrementalAggregator, MidStreamSnapshotMatchesBatchOverPrefix) {
   std::size_t fed = 0;
   for (const std::size_t cut : cuts) {
     for (; fed < cut; ++fed) trace::dispatch_event(events[fed], inc);
-    analysis::AggregateVisitor batch(*run.sites);
-    for (std::size_t i = 0; i < cut; ++i) {
-      trace::dispatch_event(events[i], batch);
-    }
-    expect_identical_results(batch.finish(), inc.snapshot(),
+    expect_identical_results(oracle::batch_aggregate(events, cut, *run.sites),
+                             inc.snapshot(),
                              "lulesh prefix " + std::to_string(cut));
   }
 }
