@@ -34,6 +34,12 @@
 //    numactl and cache on all four presets, so a change to any latency
 //    constant the runs read fails here. The Figure 4 rows and the sweep
 //    grid are bandwidth-bound and would not notice.
+//  * pipeline_churn_knl.txt — run_pipeline(per_phase = true) on a shrunk
+//    churn with a 96M budget on knl, profiled as one rank and as four
+//    sharded ranks: every profile, production and dynamic RunResult at
+//    %.17g, the aggregate totals, the merged event count and shard sizes,
+//    and the placement and schedule reports. The sweep's dynamic cells run
+//    the same stage functions, so this golden is what pins those stages.
 //
 // On a mismatch the test writes what it computed next to the test binary
 // and prints the command that would accept it. A golden only changes with a
@@ -488,6 +494,55 @@ TEST(Golden, LatencyBoundAppOnAllPresets) {
     }
   }
   expect_golden("latency_bound.txt", actual);
+}
+
+std::string pipeline_run(int profile_ranks) {
+  apps::AppSpec churn = apps::make_churn();
+  churn.iterations = std::min<std::uint64_t>(churn.iterations, 3);
+  churn.accesses_per_iteration =
+      std::min<std::uint64_t>(churn.accesses_per_iteration, 3000);
+  engine::PipelineOptions options;
+  options.per_phase = true;
+  options.fast_budget_per_rank = 96ULL << 20;
+  options.node = knl();
+  options.profile_ranks = profile_ranks;
+  const engine::PipelineResult result = engine::run_pipeline(churn, options);
+
+  const std::string head = "ranks=" + std::to_string(profile_ranks) + ' ';
+  std::string out = "# run_pipeline(per_phase) of churn, " +
+                    std::to_string(profile_ranks) + " profiled rank(s)\n";
+  if (result.rank_profile_runs.empty()) {
+    out += format_run(head + "profile", result.profile_run);
+  }
+  for (std::size_t r = 0; r < result.rank_profile_runs.size(); ++r) {
+    out += format_run(head + "profile rank" + std::to_string(r),
+                      result.rank_profile_runs[r]);
+  }
+  out += format_run(head + "production", result.production_run);
+  out += format_run(head + "dynamic", result.dynamic_run);
+  const analysis::AggregateResult& report = result.report;
+  out += head + "total_samples = " + std::to_string(report.total_samples) +
+         '\n';
+  out += head + "total_weighted_misses = " +
+         std::to_string(report.total_weighted_misses) + '\n';
+  out += head + "unattributed_samples = " +
+         std::to_string(report.unattributed_samples) + '\n';
+  out += head + "unattributed_misses = " +
+         std::to_string(report.unattributed_misses) + '\n';
+  out += head + "merged_events = " + std::to_string(result.merged_events) +
+         '\n';
+  out += head + "shard_bytes =";
+  for (const std::size_t bytes : result.shard_bytes) {
+    out += ' ' + std::to_string(bytes);
+  }
+  out += '\n';
+  out += "[placement]\n" + result.placement_report_text;
+  out += "[schedule]\n" + result.schedule_report_text;
+  return out;
+}
+
+TEST(Golden, PipelineOfChurnAtOneAndFourRanks) {
+  expect_golden("pipeline_churn_knl.txt", pipeline_run(1) + pipeline_run(4));
 }
 
 }  // namespace
