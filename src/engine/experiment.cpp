@@ -1,6 +1,6 @@
 #include "engine/experiment.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -49,12 +49,6 @@ const Fig4Cell& Fig4Row::cell(const std::string& strategy,
   return cells.front();
 }
 
-double Fig4Row::best_framework_fom() const {
-  double best = 0;
-  for (const auto& c : cells) best = std::max(best, c.fom);
-  return best;
-}
-
 double dfom_per_mb(double fom, double ddr_fom, std::uint64_t mem_bytes) {
   HMEM_ASSERT(mem_bytes > 0);
   const double mem_mb =
@@ -87,7 +81,6 @@ Fig4Row Fig4Runner::run(const std::vector<std::uint64_t>& budgets,
   sweep.jobs = base_.jobs;
   SweepEngine engine(std::move(sweep));
   const std::vector<SweepOutcome> outcomes = engine.run();
-  report_ = engine.profile_report(0, 0);
 
   // Enumeration order is baselines (in listed order) then strategy-major,
   // budget-minor framework cells — the same order Fig4Row::cells uses.

@@ -67,8 +67,6 @@ struct Fig4Row {
 
   const Fig4Cell& cell(const std::string& strategy,
                        std::uint64_t budget) const;
-  /// Best framework FOM across all cells.
-  double best_framework_fom() const;
 };
 
 class Fig4Runner {
@@ -79,13 +77,9 @@ class Fig4Runner {
   Fig4Row run(const std::vector<std::uint64_t>& budgets,
               const std::vector<StrategyConfig>& strategies);
 
-  /// The shared stage-2 report (available after run()).
-  const analysis::AggregateResult& report() const { return report_; }
-
  private:
   apps::AppSpec app_;
   PipelineOptions base_;
-  analysis::AggregateResult report_;
 };
 
 /// dFOM/MByte with the paper's conventions; mem_bytes is per process.

@@ -3,13 +3,11 @@
 #include <memory>
 #include <sstream>
 
-#include "advisor/advisor.hpp"
-#include "advisor/phase_advisor.hpp"
 #include "advisor/schedule_report.hpp"
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
-#include "trace/merge.hpp"
+#include "trace/replay.hpp"
 
 namespace hmem::engine {
 
@@ -44,21 +42,56 @@ std::uint64_t clamp_fast_budget(const memsim::MachineConfig& node,
   return over ? capacity : requested_bytes;
 }
 
-namespace {
-
-RunOptions profile_options(const PipelineOptions& options) {
+RunOptions profile_run_options(const PipelineOptions& options,
+                               const memsim::MachineConfig& node) {
   RunOptions po;
   po.condition = Condition::kDdr;
   po.profile = true;
   po.sampler = options.sampler;
   po.min_alloc_bytes = options.min_alloc_bytes;
   po.seed = options.profile_seed;
-  po.node = options.node;
+  po.node = node;
   po.kernel = options.kernel;
   return po;
 }
 
-}  // namespace
+PlacementAdvice advise_placement(const analysis::AggregateResult& report,
+                                 const memsim::MachineConfig& node,
+                                 std::uint64_t fast_budget_per_rank,
+                                 int ranks, const advisor::Options& options) {
+  const advisor::HmemAdvisor adv(
+      machine_memory_spec(node, fast_budget_per_rank, ranks), options);
+  PlacementAdvice advice;
+  advice.report_text =
+      advisor::write_placement_report(adv.advise(report.objects));
+  advice.placement = advisor::read_placement_report(advice.report_text);
+  return advice;
+}
+
+ScheduleAdvice advise_schedule(const analysis::AggregateResult& report,
+                               const memsim::MachineConfig& node,
+                               std::uint64_t fast_budget_per_rank, int ranks,
+                               const advisor::Options& options) {
+  const advisor::PhaseAdvisor adv(
+      machine_memory_spec(node, fast_budget_per_rank, ranks), options);
+  ScheduleAdvice advice;
+  advice.report_text =
+      advisor::write_schedule_report(adv.advise(report.phases));
+  advice.schedule = advisor::read_schedule_report(advice.report_text);
+  return advice;
+}
+
+RunOptions production_run_options(const PipelineOptions& options,
+                                  Condition condition,
+                                  const memsim::MachineConfig& node) {
+  RunOptions opts;
+  opts.condition = condition;
+  opts.runtime_options = options.runtime_options;
+  opts.seed = options.production_seed;
+  opts.node = node;
+  opts.kernel = options.kernel;
+  return opts;
+}
 
 PipelineResult run_pipeline(const apps::AppSpec& app_in,
                             const PipelineOptions& options) {
@@ -72,7 +105,8 @@ PipelineResult run_pipeline(const apps::AppSpec& app_in,
 
   if (options.profile_ranks <= 1) {
     // Stage 1: profile the application in its default placement (DDR).
-    result.profile_run = run_app(app, profile_options(options));
+    result.profile_run =
+        run_app(app, profile_run_options(options, options.node));
     HMEM_ASSERT(result.profile_run.trace != nullptr);
 
     // Stage 2: aggregate the trace into per-object statistics.
@@ -99,7 +133,7 @@ PipelineResult run_pipeline(const apps::AppSpec& app_in,
                    std::ostringstream shard;
                    const auto writer = trace::make_trace_writer(
                        shard, rank_sites, options.shard_format);
-                   RunOptions po = profile_options(options);
+                   RunOptions po = profile_run_options(options, options.node);
                    po.seed = options.profile_seed +
                              static_cast<std::uint64_t>(r) * kRankSeedStride;
                    po.sites = &rank_sites;
@@ -110,72 +144,57 @@ PipelineResult run_pipeline(const apps::AppSpec& app_in,
                    shards[r] = std::move(shard).str();
                    result.rank_profile_runs[r] = std::move(run);
                  });
-    for (const std::string& shard : shards) {
-      result.shard_bytes.push_back(shard.size());
+    std::vector<std::unique_ptr<std::istream>> streams;
+    std::vector<std::string> labels;
+    for (std::size_t r = 0; r < shards.size(); ++r) {
+      result.shard_bytes.push_back(shards[r].size());
+      streams.push_back(std::make_unique<std::istringstream>(shards[r]));
+      std::string label = "rank";
+      label += std::to_string(r);
+      labels.push_back(std::move(label));
     }
     result.profile_run = result.rank_profile_runs.front();
 
-    // Stage 2: k-way timestamp merge of the shards, aggregated in one
-    // streaming pass against a shared (re-interned) site database. Each
-    // shard is rebased into its own slice of the simulated address space —
-    // ranks reuse the same physical layout, and the live-range map needs
-    // disjoint ranges.
-    callstack::SiteDb merged_sites;
-    std::vector<std::unique_ptr<std::istringstream>> streams;
-    std::vector<std::unique_ptr<trace::TraceReader>> readers;
-    for (std::size_t r = 0; r < shards.size(); ++r) {
-      streams.push_back(std::make_unique<std::istringstream>(shards[r]));
-      readers.push_back(std::make_unique<trace::OffsetTraceReader>(
-          trace::open_trace_reader(*streams.back(), merged_sites),
-          static_cast<trace::Address>(r) * trace::kRankAddressStride));
-    }
-    trace::MergeTraceReader merged(std::move(readers));
-    analysis::AggregateVisitor aggregate(merged_sites);
-    result.merged_events = trace::pump(merged, aggregate);
+    // Stage 2: k-way timestamp merge of the shards through the strict
+    // replay front (each shard rebased into its own slice of the address
+    // space, sites re-interned into one database), aggregated in one
+    // streaming pass.
+    trace::ReplayReader merged(std::move(streams), labels,
+                               trace::ReplayReaderOptions{});
+    analysis::AggregateVisitor aggregate(merged.sites());
+    result.merged_events = trace::pump(merged.reader(), aggregate);
     result.report = aggregate.finish();
   }
 
-  // Stage 3: compute the placement for the requested budget. Every tier
-  // below the fastest contributes its per-rank capacity share; the slowest
-  // is the unbounded fallback.
-  advisor::MemorySpec spec = machine_memory_spec(
-      options.node, options.fast_budget_per_rank, app.ranks);
-  advisor::HmemAdvisor adv(spec, options.advisor);
-  result.placement = adv.advise(result.report.objects);
-  result.placement_report_text =
-      advisor::write_placement_report(result.placement);
+  // Stage 3: the static placement for the requested budget.
+  PlacementAdvice advice =
+      advise_placement(result.report, options.node,
+                       options.fast_budget_per_rank, app.ranks,
+                       options.advisor);
+  result.placement = std::move(advice.placement);
+  result.placement_report_text = std::move(advice.report_text);
 
   // Stage 4: production run, consuming the *parsed text report* under a
   // fresh ASLR image.
-  const advisor::Placement parsed =
-      advisor::read_placement_report(result.placement_report_text);
-  RunOptions production_opts;
-  production_opts.condition = Condition::kFramework;
-  production_opts.placement = &parsed;
-  production_opts.runtime_options = options.runtime_options;
-  production_opts.seed = options.production_seed;
-  production_opts.node = options.node;
-  production_opts.kernel = options.kernel;
-  result.production_run = run_app(app, production_opts);
+  RunOptions production =
+      production_run_options(options, Condition::kFramework, options.node);
+  production.placement = &result.placement;
+  result.production_run = run_app(app, production);
 
   // Phase-aware stages: per-phase knapsacks over the folded profiles, then
   // a dynamic production run consuming the parsed schedule report (same
   // text round-trip and ASLR discipline as the static path).
   if (options.per_phase) {
-    advisor::PhaseAdvisor phase_adv(spec, options.advisor);
-    result.schedule = phase_adv.advise(result.report.phases);
-    result.schedule_report_text =
-        advisor::write_schedule_report(result.schedule);
-    const advisor::PlacementSchedule parsed_schedule =
-        advisor::read_schedule_report(result.schedule_report_text);
-    RunOptions dynamic_opts;
-    dynamic_opts.condition = Condition::kDynamic;
-    dynamic_opts.schedule = &parsed_schedule;
-    dynamic_opts.runtime_options = options.runtime_options;
-    dynamic_opts.seed = options.production_seed;
-    dynamic_opts.node = options.node;
-    dynamic_opts.kernel = options.kernel;
-    result.dynamic_run = run_app(app, dynamic_opts);
+    ScheduleAdvice schedule =
+        advise_schedule(result.report, options.node,
+                        options.fast_budget_per_rank, app.ranks,
+                        options.advisor);
+    result.schedule = std::move(schedule.schedule);
+    result.schedule_report_text = std::move(schedule.report_text);
+    RunOptions dynamic =
+        production_run_options(options, Condition::kDynamic, options.node);
+    dynamic.schedule = &result.schedule;
+    result.dynamic_run = run_app(app, dynamic);
   }
   return result;
 }

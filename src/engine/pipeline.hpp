@@ -89,7 +89,8 @@ struct PipelineOptions {
 struct PipelineResult {
   RunResult profile_run;             ///< stage 1 (rank 0 when sharded)
   analysis::AggregateResult report;  ///< stage 2
-  advisor::Placement placement;      ///< stage 3
+  /// Stage 3, as read back from its text report: what stage 4 consumed.
+  advisor::Placement placement;
   std::string placement_report_text;
   RunResult production_run;          ///< stage 4
 
@@ -112,5 +113,47 @@ struct PipelineResult {
 /// Runs all four stages for one application.
 PipelineResult run_pipeline(const apps::AppSpec& app,
                             const PipelineOptions& options);
+
+// The framework's stages, one function each. run_pipeline and SweepEngine
+// both call them, so a sweep cell runs exactly the pipeline's stages.
+
+/// Stage 1: a profiled run of the app in its default (DDR) placement on
+/// `node`, with the sampler, size filter, profile seed and kernel of
+/// `options`.
+RunOptions profile_run_options(const PipelineOptions& options,
+                               const memsim::MachineConfig& node);
+
+/// Stage 3 output as stage 4 consumes it: the advice read back from its
+/// text report, and the text itself.
+struct PlacementAdvice {
+  advisor::Placement placement;
+  std::string report_text;
+};
+struct ScheduleAdvice {
+  advisor::PlacementSchedule schedule;
+  std::string report_text;
+};
+
+/// Stage 3: the static placement of `report` for a per-rank fast-tier
+/// budget on `node` (machine_memory_spec), round-tripped through its text
+/// report.
+PlacementAdvice advise_placement(const analysis::AggregateResult& report,
+                                 const memsim::MachineConfig& node,
+                                 std::uint64_t fast_budget_per_rank,
+                                 int ranks, const advisor::Options& options);
+
+/// Stage 3, phase-aware: the per-phase schedule of `report`, round-tripped
+/// through its text report.
+ScheduleAdvice advise_schedule(const analysis::AggregateResult& report,
+                               const memsim::MachineConfig& node,
+                               std::uint64_t fast_budget_per_rank, int ranks,
+                               const advisor::Options& options);
+
+/// Stage 4: a production run under `condition` on `node`, with the
+/// production seed (a fresh ASLR image), kernel and runtime options of
+/// `options`. The caller points `placement` or `schedule` at its advice.
+RunOptions production_run_options(const PipelineOptions& options,
+                                  Condition condition,
+                                  const memsim::MachineConfig& node);
 
 }  // namespace hmem::engine

@@ -6,7 +6,6 @@
 #include <map>
 #include <mutex>
 
-#include "advisor/schedule_report.hpp"
 #include "common/arena.hpp"
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
@@ -146,30 +145,16 @@ SweepEngine::SweepEngine(SweepSpec spec) : spec_(std::move(spec)) {
 
 SweepEngine::~SweepEngine() = default;
 
-const analysis::AggregateResult& SweepEngine::profile_report(
-    std::size_t app, std::size_t machine) {
-  return profile_for(app, machine, /*count_reuse=*/false);
-}
-
 const analysis::AggregateResult& SweepEngine::profile_for(std::size_t app,
-                                                          std::size_t machine,
-                                                          bool count_reuse) {
+                                                          std::size_t machine) {
   ProfileEntry& entry = *profiles_[app * spec_.machines.size() + machine];
   bool computed_here = false;
   std::call_once(entry.once, [&] {
-    // Stage 1 + 2, identical to Fig4Runner's historical flow: profile the
-    // app in its default (DDR) placement, aggregate the trace. The profile
-    // deliberately runs on the default memory resource — its artefacts
-    // (trace, sites, report) outlive the cell that happened to compute it,
-    // so they must not live in a worker's reset-between-cells arena.
-    RunOptions po;
-    po.condition = Condition::kDdr;
-    po.profile = true;
-    po.sampler = spec_.base.sampler;
-    po.min_alloc_bytes = spec_.base.min_alloc_bytes;
-    po.seed = spec_.base.profile_seed;
-    po.node = spec_.machines[machine];
-    po.kernel = spec_.base.kernel;
+    // Stages 1 + 2 of run_pipeline. The profile deliberately runs on the
+    // default memory resource — its artefacts (trace, sites, report)
+    // outlive the cell that happened to compute it, so they must not live
+    // in a worker's reset-between-cells arena.
+    RunOptions po = profile_run_options(spec_.base, spec_.machines[machine]);
     po.program_cache = &programs_;
     po.program_cache_prefix =
         cache_prefix(app, machine, "profile", po.seed, "");
@@ -178,126 +163,75 @@ const analysis::AggregateResult& SweepEngine::profile_for(std::size_t app,
     entry.report = analysis::aggregate_trace(*profile.trace, *profile.sites);
     computed_here = true;
   });
-  if (count_reuse) {
-    // Waiters blocked on the call_once count as hits too: they reused a
-    // profile another cell was computing.
-    (computed_here ? profile_misses_ : profile_hits_)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
+  // Waiters blocked on the call_once count as hits too: they reused a
+  // profile another cell was computing.
+  (computed_here ? profile_misses_ : profile_hits_)
+      .fetch_add(1, std::memory_order_relaxed);
   return entry.report;
 }
 
 SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
   const apps::AppSpec& app = spec_.apps[cell.app];
   const memsim::MachineConfig& node = spec_.machines[cell.machine];
+  // Every run of a cell draws its scratch from the worker's arena and its
+  // programs from the shared cache, keyed by the condition and the text of
+  // the advice that drives it.
+  const auto run = [&](Condition condition, const std::string& report_text,
+                       const advisor::Placement* placement,
+                       const advisor::PlacementSchedule* schedule) {
+    RunOptions opts = production_run_options(spec_.base, condition, node);
+    opts.placement = placement;
+    opts.schedule = schedule;
+    opts.scratch = arena;
+    opts.program_cache = &programs_;
+    opts.program_cache_prefix =
+        cache_prefix(cell.app, cell.machine, condition_name(condition),
+                     opts.seed, report_text);
+    return run_app(app, opts);
+  };
   SweepCellResult result;
+  if (cell.kind == CellKind::kBaseline) {
+    const RunResult r = run(cell.baseline, "", nullptr, nullptr);
+    result.fom = r.fom;
+    result.fast_hwm_bytes = r.fast_hwm_bytes;
+    return result;
+  }
 
-  switch (cell.kind) {
-    case CellKind::kBaseline: {
-      RunOptions opts;
-      opts.condition = cell.baseline;
-      opts.seed = spec_.base.production_seed;
-      opts.node = node;
-      opts.kernel = spec_.base.kernel;
-      opts.scratch = arena;
-      opts.program_cache = &programs_;
-      opts.program_cache_prefix =
-          cache_prefix(cell.app, cell.machine, condition_name(cell.baseline),
-                       opts.seed, "");
-      const RunResult r = run_app(app, opts);
-      result.fom = r.fom;
-      result.fast_hwm_bytes = r.fast_hwm_bytes;
-      break;
-    }
-    case CellKind::kFramework: {
-      const analysis::AggregateResult& report =
-          profile_for(cell.app, cell.machine, /*count_reuse=*/true);
-      const advisor::MemorySpec spec =
-          machine_memory_spec(node, cell.budget_bytes, app.ranks);
-      advisor::Options adv_options =
-          spec_.strategies[cell.strategy].options;
-      if (spec_.base.advisor.virtual_budget_bytes > 0) {
-        adv_options.virtual_budget_bytes =
-            spec_.base.advisor.virtual_budget_bytes;
-      }
-      advisor::HmemAdvisor adv(spec, adv_options);
-      const advisor::Placement placement = adv.advise(report.objects);
-      const std::string text = advisor::write_placement_report(placement);
-      const advisor::Placement parsed = advisor::read_placement_report(text);
-
-      RunOptions opts;
-      opts.condition = Condition::kFramework;
-      opts.placement = &parsed;
-      opts.runtime_options = spec_.base.runtime_options;
-      opts.seed = spec_.base.production_seed;
-      opts.node = node;
-      opts.kernel = spec_.base.kernel;
-      opts.scratch = arena;
-      opts.program_cache = &programs_;
-      opts.program_cache_prefix = cache_prefix(
-          cell.app, cell.machine, "framework", opts.seed, text);
-      const RunResult r = run_app(app, opts);
-      result.fom = r.fom;
-      result.fast_hwm_bytes = r.fast_hwm_bytes;
-      result.any_overflow = r.autohbw.has_value() && r.autohbw->any_overflow;
-      break;
-    }
-    case CellKind::kDynamic: {
-      // The full static-vs-dynamic comparison on the shared profile: the
-      // same stages run_pipeline(per_phase=true) performs, minus its
-      // private profile run.
-      const analysis::AggregateResult& report =
-          profile_for(cell.app, cell.machine, /*count_reuse=*/true);
-      const advisor::MemorySpec spec =
-          machine_memory_spec(node, cell.budget_bytes, app.ranks);
-      advisor::HmemAdvisor adv(spec, spec_.base.advisor);
-      const advisor::Placement placement = adv.advise(report.objects);
-      const std::string text = advisor::write_placement_report(placement);
-      const advisor::Placement parsed = advisor::read_placement_report(text);
-
-      RunOptions static_opts;
-      static_opts.condition = Condition::kFramework;
-      static_opts.placement = &parsed;
-      static_opts.runtime_options = spec_.base.runtime_options;
-      static_opts.seed = spec_.base.production_seed;
-      static_opts.node = node;
-      static_opts.kernel = spec_.base.kernel;
-      static_opts.scratch = arena;
-      static_opts.program_cache = &programs_;
-      static_opts.program_cache_prefix = cache_prefix(
-          cell.app, cell.machine, "framework", static_opts.seed, text);
-      const RunResult static_run = run_app(app, static_opts);
-
-      advisor::PhaseAdvisor phase_adv(spec, spec_.base.advisor);
-      const advisor::PlacementSchedule schedule =
-          phase_adv.advise(report.phases);
-      const std::string sched_text =
-          advisor::write_schedule_report(schedule);
-      const advisor::PlacementSchedule parsed_schedule =
-          advisor::read_schedule_report(sched_text);
-
-      RunOptions dynamic_opts;
-      dynamic_opts.condition = Condition::kDynamic;
-      dynamic_opts.schedule = &parsed_schedule;
-      dynamic_opts.runtime_options = spec_.base.runtime_options;
-      dynamic_opts.seed = spec_.base.production_seed;
-      dynamic_opts.node = node;
-      dynamic_opts.kernel = spec_.base.kernel;
-      dynamic_opts.scratch = arena;
-      dynamic_opts.program_cache = &programs_;
-      dynamic_opts.program_cache_prefix = cache_prefix(
-          cell.app, cell.machine, "dynamic", dynamic_opts.seed, sched_text);
-      const RunResult dynamic_run = run_app(app, dynamic_opts);
-
-      result.fom = dynamic_run.fom;
-      result.fast_hwm_bytes = dynamic_run.fast_hwm_bytes;
-      result.static_fom = static_run.fom;
-      result.phases = schedule.phases.size();
-      result.migration_bytes = dynamic_run.migration_bytes;
-      result.migration_cost_s = dynamic_run.migration_cost_s;
-      break;
+  // Framework and dynamic cells advise on the shared profile; a dynamic
+  // cell is a framework cell with the base advisor plus the phase-aware
+  // stages, as in run_pipeline(per_phase = true).
+  const analysis::AggregateResult& report = profile_for(cell.app, cell.machine);
+  advisor::Options adv_options = spec_.base.advisor;
+  if (cell.kind == CellKind::kFramework) {
+    adv_options = spec_.strategies[cell.strategy].options;
+    if (spec_.base.advisor.virtual_budget_bytes > 0) {
+      adv_options.virtual_budget_bytes =
+          spec_.base.advisor.virtual_budget_bytes;
     }
   }
+  const PlacementAdvice advice = advise_placement(
+      report, node, cell.budget_bytes, app.ranks, adv_options);
+  const RunResult static_run =
+      run(Condition::kFramework, advice.report_text, &advice.placement,
+          nullptr);
+  result.fom = static_run.fom;
+  result.fast_hwm_bytes = static_run.fast_hwm_bytes;
+  if (cell.kind == CellKind::kFramework) {
+    result.any_overflow =
+        static_run.autohbw.has_value() && static_run.autohbw->any_overflow;
+    return result;
+  }
+
+  const ScheduleAdvice schedule = advise_schedule(
+      report, node, cell.budget_bytes, app.ranks, spec_.base.advisor);
+  const RunResult dynamic_run = run(Condition::kDynamic, schedule.report_text,
+                                    nullptr, &schedule.schedule);
+  result.fom = dynamic_run.fom;
+  result.fast_hwm_bytes = dynamic_run.fast_hwm_bytes;
+  result.static_fom = static_run.fom;
+  result.phases = schedule.schedule.phases.size();
+  result.migration_bytes = dynamic_run.migration_bytes;
+  result.migration_cost_s = dynamic_run.migration_cost_s;
   return result;
 }
 

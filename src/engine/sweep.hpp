@@ -1,9 +1,11 @@
 // Fleet-scale sweep engine.
 //
 // The paper's evaluation is a grid — apps × machines × budgets ×
-// conditions/strategies — and every cell is an independent simulation. This
-// engine enumerates the grid deterministically and executes it on the
-// work-queue thread pool with three layers the per-row Fig4Runner lacked:
+// conditions/strategies — and every cell is an independent simulation. A
+// cell runs the framework's stages through the same functions run_pipeline
+// calls (engine/pipeline.hpp); Fig4Runner is a one-row grid over this
+// engine. The engine enumerates the grid deterministically and executes it
+// on the work-queue thread pool with three layers of its own:
 //
 //  1. Shared immutable state. App specs and machine presets live in the
 //     SweepSpec; each (app, machine) pair's stage-1 profile is computed at
@@ -173,16 +175,13 @@ class SweepEngine {
 
   const SweepStats& stats() const { return stats_; }
 
-  /// The shared stage-2 report of one grid point (computed on demand).
-  const analysis::AggregateResult& profile_report(std::size_t app,
-                                                  std::size_t machine);
-
  private:
   struct ProfileEntry;
 
+  /// The shared stage-2 report of one grid point, computed on first use;
+  /// every call counts as a profile hit or miss.
   const analysis::AggregateResult& profile_for(std::size_t app,
-                                               std::size_t machine,
-                                               bool count_reuse);
+                                               std::size_t machine);
   SweepCellResult run_cell(const SweepCell& cell, Arena* arena);
 
   SweepSpec spec_;

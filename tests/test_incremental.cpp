@@ -4,10 +4,15 @@
 // its incremental snapshots must both equal it exactly. The batch
 // PhaseAdvisor is the advisor oracle, and the incremental advisor must
 // converge to it exactly — on every bundled app, on every machine preset.
+// The aggregation comparison also reads 8-rank merged churn recordings:
+// the only inputs whose phases nest, and (with uneven ranks) whose sites
+// request different sizes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +27,8 @@
 #include "engine/pipeline.hpp"
 #include "memsim/machine.hpp"
 #include "oracle/batch_aggregator.hpp"
+#include "trace/format.hpp"
+#include "trace/replay.hpp"
 #include "trace/visitor.hpp"
 
 namespace hmem {
@@ -103,27 +110,86 @@ advisor::MemorySpec spec_for(const memsim::MachineConfig& node) {
 
 // ---- Aggregator: batch finish() and converged snapshot == oracle ----------
 
+/// The library's batch aggregate and its converged incremental snapshot
+/// (taken twice: snapshot() is non-destructive) both equal the oracle's.
+void expect_matches_oracle(const trace::TraceBuffer& trace,
+                           const callstack::SiteDb& sites,
+                           const std::string& label) {
+  const auto& events = trace.events();
+  const AggregateResult expected =
+      oracle::batch_aggregate(events, events.size(), sites);
+  expect_identical_results(expected, analysis::aggregate_trace(trace, sites),
+                           label + " (batch)");
+  IncrementalAggregator inc(sites);
+  trace::visit_buffer(trace, inc);
+  expect_identical_results(expected, inc.snapshot(), label);
+  expect_identical_results(expected, inc.snapshot(), label + " (again)");
+}
+
+/// churn recorded at 8 ranks on knl as `hmem_profile --ranks 8 --format
+/// binary` writes it, read back merged through hmem_advise's salvage front
+/// into one buffer. Unlike a single-rank run, the merged stream nests the
+/// ranks' phases. With `shrink_bytes`, rank r's objects are r * shrink_bytes
+/// smaller, as an uneven domain decomposition allocates them: each site
+/// then requests a different size on every rank.
+struct MergedRecording {
+  trace::TraceBuffer trace;
+  std::unique_ptr<trace::ReplayReader> reader;  ///< owns the merged sites
+};
+
+MergedRecording merged_churn_recording(std::uint64_t shrink_bytes) {
+  constexpr int kRanks = 8;
+  std::vector<std::unique_ptr<std::istream>> shards;
+  std::vector<std::string> labels;
+  for (int r = 0; r < kRanks; ++r) {
+    apps::AppSpec app = apps::make_churn();
+    app.ranks = kRanks;
+    for (apps::ObjectSpec& object : app.objects) {
+      object.size_bytes -= static_cast<std::uint64_t>(r) * shrink_bytes;
+    }
+    callstack::SiteDb sites;
+    std::ostringstream out;
+    const auto writer =
+        trace::make_trace_writer(out, sites, trace::TraceFormat::kBinary);
+    engine::RunOptions opts;
+    opts.profile = true;
+    opts.node = memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
+    opts.seed = 42 + static_cast<std::uint64_t>(r) * engine::kRankSeedStride;
+    opts.sites = &sites;
+    opts.trace_sink = writer.get();
+    engine::run_app(app, opts);
+    writer->finish();
+    shards.push_back(
+        std::make_unique<std::istringstream>(std::move(out).str()));
+    std::string label = "churn.trace.rank";
+    label += std::to_string(r);
+    labels.push_back(std::move(label));
+  }
+  trace::ReplayReaderOptions options;
+  options.salvage = true;
+  MergedRecording recording;
+  recording.reader = std::make_unique<trace::ReplayReader>(std::move(shards),
+                                                           labels, options);
+  trace::pump(recording.reader->reader(), recording.trace);
+  EXPECT_TRUE(recording.reader->salvage_report().clean());
+  return recording;
+}
+
 TEST(IncrementalAggregator, ConvergedSnapshotMatchesBatchOnAllAppsPresets) {
   for (const auto& node : all_presets()) {
     for (const auto& app : all_ten_apps()) {
       const std::string label = app.name + " @ " + node.name;
       const auto run = profiled_run(app, node);
       ASSERT_NE(run.trace, nullptr) << label;
-
-      const auto& events = run.trace->events();
-      const AggregateResult expected =
-          oracle::batch_aggregate(events, events.size(), *run.sites);
-      expect_identical_results(
-          expected, analysis::aggregate_trace(*run.trace, *run.sites),
-          label + " (batch)");
-
-      IncrementalAggregator inc(*run.sites);
-      trace::visit_buffer(*run.trace, inc);
-      expect_identical_results(expected, inc.snapshot(), label);
-      // snapshot() is non-destructive: a second one is identical too.
-      expect_identical_results(expected, inc.snapshot(), label + " (again)");
+      expect_matches_oracle(*run.trace, *run.sites, label);
     }
   }
+  const MergedRecording merged = merged_churn_recording(0);
+  expect_matches_oracle(merged.trace, merged.reader->sites(),
+                        "churn, 8 ranks merged @ knl7250");
+  const MergedRecording uneven = merged_churn_recording(4096);
+  expect_matches_oracle(uneven.trace, uneven.reader->sites(),
+                        "churn, 8 uneven ranks merged @ knl7250");
 }
 
 TEST(IncrementalAggregator, MidStreamSnapshotMatchesBatchOverPrefix) {

@@ -10,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "engine/kernel/kernel.hpp"
 #include "memsim/machine.hpp"
 
 namespace hmem::tools {
@@ -30,6 +31,19 @@ inline const char* cli_value(int argc, char** argv, int& i,
     std::exit(2);
   }
   return argv[++i];
+}
+
+/// Parses the --kernel value at argv[i], advancing i past it. Exits with
+/// the usage status on an unknown kernel name.
+inline engine::kernel::KernelKind cli_kernel(int argc, char** argv, int& i) {
+  const char* value = cli_value(argc, argv, i, "--kernel");
+  const auto kind = engine::kernel::parse_kernel(value);
+  if (!kind) {
+    std::fprintf(stderr, "--kernel: unknown kernel '%s' (one of %s)\n", value,
+                 engine::kernel::kernel_list().c_str());
+    std::exit(kExitUsage);
+  }
+  return *kind;
 }
 
 /// True for "--something" tokens: an unknown one is a user error, not a

@@ -218,14 +218,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--kernel") == 0) {
-      const auto k = engine::kernel::parse_kernel(
-          tools::cli_value(argc, argv, i, "--kernel"));
-      if (!k) {
-        std::fprintf(stderr, "--kernel: expected one of %s\n",
-                     engine::kernel::kernel_list().c_str());
-        return 2;
-      }
-      kern = *k;
+      kern = tools::cli_kernel(argc, argv, i);
     } else if (std::strcmp(argv[i], "--app-config") == 0) {
       app_config = tools::cli_value(argc, argv, i, "--app-config");
     } else if (std::strcmp(argv[i], "--replay") == 0) {

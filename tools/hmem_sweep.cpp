@@ -252,14 +252,7 @@ int main(int argc, char** argv) {
       shard_index = index - 1;
       shard_count = count;
     } else if (std::strcmp(arg, "--kernel") == 0) {
-      const char* value = tools::cli_value(argc, argv, i, arg);
-      const auto kind = engine::kernel::parse_kernel(value);
-      if (!kind) {
-        std::fprintf(stderr, "--kernel: unknown kernel '%s' (one of %s)\n",
-                     value, engine::kernel::kernel_list().c_str());
-        return tools::kExitUsage;
-      }
-      kernel = *kind;
+      kernel = tools::cli_kernel(argc, argv, i);
     } else if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(arg, "--store") == 0) {
